@@ -1,11 +1,11 @@
-//! Microbenchmarks of the two step kernels and the frontier conversions.
+//! Microbenchmarks of the two step kernels (one worker) and the frontier
+//! conversions.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use sembfs_core::bitmap::AtomicBitmap;
-use sembfs_core::bottomup::bottom_up_step;
 use sembfs_core::frontier::{bitmap_to_queue, queue_to_bitmap};
-use sembfs_core::topdown::top_down_step;
 use sembfs_core::tree::new_parent_array;
+use sembfs_core::{par_bottom_up_step, par_top_down_step};
 use sembfs_csr::{build_csr, BackwardGraph, BuildOptions, DramForwardGraph, NeighborCtx};
 use sembfs_graph500::KroneckerParams;
 use sembfs_numa::RangePartition;
@@ -36,9 +36,18 @@ fn level1_frontier(fg: &DramForwardGraph, n: u64) -> Vec<u32> {
     let parent = new_parent_array(n, root);
     let visited = AtomicBitmap::new(n);
     visited.set(root);
-    top_down_step(fg, &[root], &parent, &visited, 64, &NeighborCtx::dram)
-        .unwrap()
-        .next
+    par_top_down_step(
+        fg,
+        &[root],
+        &parent,
+        &visited,
+        64,
+        1,
+        &NeighborCtx::dram,
+        None,
+    )
+    .unwrap()
+    .next
 }
 
 fn bench_top_down(c: &mut Criterion) {
@@ -54,7 +63,17 @@ fn bench_top_down(c: &mut Criterion) {
                 for &v in &frontier {
                     visited.set(v);
                 }
-                top_down_step(&fg, &frontier, &parent, &visited, batch, &NeighborCtx::dram).unwrap()
+                par_top_down_step(
+                    &fg,
+                    &frontier,
+                    &parent,
+                    &visited,
+                    batch,
+                    1,
+                    &NeighborCtx::dram,
+                    None,
+                )
+                .unwrap()
             })
         });
     }
@@ -76,7 +95,17 @@ fn bench_bottom_up(c: &mut Criterion) {
                 frontier.set(v);
             }
             let next = AtomicBitmap::new(n);
-            bottom_up_step(&bg, &frontier, &next, &parent, &visited, &NeighborCtx::dram).unwrap()
+            par_bottom_up_step(
+                &bg,
+                &frontier,
+                &next,
+                &parent,
+                &visited,
+                1,
+                &NeighborCtx::dram,
+                None,
+            )
+            .unwrap()
         })
     });
     g.finish();

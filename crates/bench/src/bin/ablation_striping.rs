@@ -10,9 +10,8 @@
 use std::sync::Arc;
 
 use sembfs_bench::{BenchEnv, Table};
-use sembfs_core::topdown::top_down_step;
 use sembfs_core::tree::new_parent_array;
-use sembfs_core::AtomicBitmap;
+use sembfs_core::{par_top_down_step, AtomicBitmap};
 use sembfs_csr::{build_csr, BuildOptions, DramForwardGraph, ExtForwardGraph, NeighborCtx};
 use sembfs_graph500::select_roots;
 use sembfs_numa::RangePartition;
@@ -43,9 +42,18 @@ fn main() {
         let parent = new_parent_array(csr.num_vertices(), root);
         let visited = AtomicBitmap::new(csr.num_vertices());
         visited.set(root);
-        top_down_step(&fg_dram, &[root], &parent, &visited, 64, &NeighborCtx::dram)
-            .expect("expand")
-            .next
+        par_top_down_step(
+            &fg_dram,
+            &[root],
+            &parent,
+            &visited,
+            64,
+            1,
+            &NeighborCtx::dram,
+            None,
+        )
+        .expect("expand")
+        .next
     };
 
     let mut table = Table::new(&["devices", "elapsed ms", "requests/device", "speedup x"]);
@@ -89,9 +97,16 @@ fn main() {
         }
         let reader = ChunkedReader::new(16 * 1024);
         let t0 = std::time::Instant::now();
-        top_down_step(&ext, &frontier, &parent, &visited, 64, &move || {
-            NeighborCtx::new(reader)
-        })
+        par_top_down_step(
+            &ext,
+            &frontier,
+            &parent,
+            &visited,
+            64,
+            1,
+            &move || NeighborCtx::new(reader),
+            None,
+        )
         .expect("striped expand");
         let ms = t0.elapsed().as_secs_f64() * 1e3;
         let base = *base_ms.get_or_insert(ms);

@@ -98,7 +98,6 @@ fn main() {
                 frac
             );
             let opts = ScenarioOptions {
-                sort_neighbors: true,
                 page_cache_bytes: Some(budget),
                 ..env.measured_options()
             };

@@ -82,7 +82,6 @@ fn smoke(env: &BenchEnv) {
     for scenario in SCENARIOS {
         let edges = env.generate();
         let mut opts = env.accounting_options();
-        opts.sort_neighbors = true;
         opts.fault_plan = Some(FaultPlan::parse(&spec_for(0.04)).expect("smoke plan"));
         let data = env.build(&edges, scenario, opts);
         let roots = env.roots(&data);
@@ -131,9 +130,7 @@ fn main() {
         "exhausted",
     ]);
     for scenario in SCENARIOS {
-        let mut opts = env.measured_options();
-        opts.sort_neighbors = true;
-        let clean_data = env.build(&edges, scenario, opts);
+        let clean_data = env.build(&edges, scenario, env.measured_options());
         let roots = env.roots(&clean_data);
         let (clean, _) = run_all(&clean_data, &roots, None);
         let clean_teps = median_teps(&clean);
@@ -141,7 +138,6 @@ fn main() {
 
         for rate in [0.0, 0.001, 0.01, 0.05] {
             let mut opts = env.measured_options();
-            opts.sort_neighbors = true;
             opts.fault_plan = Some(FaultPlan::parse(&spec_for(rate)).expect("plan"));
             let data = env.build(&edges, scenario, opts);
             let (runs, exhausted) = run_all(&data, &roots, Some(&clean));
@@ -177,7 +173,6 @@ fn main() {
     let mut table = Table::new(&["scenario", "bare s", "resilient s", "overhead %"]);
     for scenario in SCENARIOS {
         let mut bare_opts = env.measured_options();
-        bare_opts.sort_neighbors = true;
         bare_opts.verify_pages = false;
         let bare = env.build(&edges, scenario, bare_opts);
         let roots = env.roots(&bare);
@@ -187,7 +182,6 @@ fn main() {
         drop(bare);
 
         let mut res_opts = env.measured_options();
-        res_opts.sort_neighbors = true;
         res_opts.fault_plan = Some(FaultPlan::parse("seed=7").expect("noop plan"));
         let resilient = env.build(&edges, scenario, res_opts);
         let t0 = Instant::now();

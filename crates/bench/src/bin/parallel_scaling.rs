@@ -94,9 +94,7 @@ fn digest(parent: &[VertexId]) -> u64 {
 fn smoke(env: &BenchEnv) {
     let edges = env.generate_small();
     for scenario in Scenario::ALL {
-        let mut opts = env.accounting_options();
-        opts.sort_neighbors = true;
-        let data = env.build(&edges, scenario, opts);
+        let data = env.build(&edges, scenario, env.accounting_options());
         let roots = env.roots(&data);
         for threads in [1usize, 4] {
             let cfg = BfsConfig::paper().with_threads(threads);
@@ -140,9 +138,7 @@ fn main() {
     ]);
     let mut acceptance: Option<(f64, f64)> = None; // ext-heavy (serial, 4t) MTEPS
     for (label, scenario, policy) in configs() {
-        let mut opts = env.measured_options();
-        opts.sort_neighbors = true;
-        let data = env.build(&edges, scenario, opts);
+        let data = env.build(&edges, scenario, env.measured_options());
         trace_begin(&data);
         let roots = env.roots(&data);
         // The canonical trees every thread count must reproduce.

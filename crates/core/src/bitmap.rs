@@ -59,6 +59,15 @@ impl AtomicBitmap {
         prev & mask != 0
     }
 
+    /// OR `mask` into word `wi`: publishes up to 64 bits with one atomic
+    /// RMW (the bottom-up kernel's per-word discovery commit). Relaxed
+    /// like [`set`](Self::set): concurrent readers need only the bits, and
+    /// the step's thread join orders every other write.
+    #[inline]
+    pub fn or_word(&self, wi: usize, mask: u64) {
+        self.words[wi].fetch_or(mask, Ordering::Relaxed);
+    }
+
     /// Clear every bit.
     pub fn clear(&self) {
         for w in &self.words {
@@ -152,6 +161,15 @@ mod tests {
         }
         let ones: Vec<u32> = b.iter_ones().collect();
         assert_eq!(ones, vec![0, 1, 63, 64, 65, 128, 299]);
+    }
+
+    #[test]
+    fn or_word_merges_with_existing_bits() {
+        let b = AtomicBitmap::new(130);
+        b.set(64);
+        b.or_word(1, 0b110);
+        assert_eq!(b.word(1), 0b111);
+        assert_eq!(b.iter_ones().collect::<Vec<_>>(), vec![64, 65, 66]);
     }
 
     #[test]

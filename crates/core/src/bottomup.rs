@@ -2,25 +2,39 @@
 //!
 //! Every unvisited vertex probes its neighbor list for a frontier member
 //! and stops at the first hit ("the bottom-up approach terminates the
-//! vertex searches … once we find [a frontier vertex]"). Vertices are
-//! scanned per NUMA domain over the backward graph's local range (§V-C).
+//! vertex searches … once we find [a frontier vertex]"). Adjacency lists
+//! are sorted ascending (a [`CsrGraph`](sembfs_csr::CsrGraph) invariant),
+//! so the first hit is also the **smallest** frontier neighbor: the early
+//! exit yields the same canonical parent as the min-parent top-down claim
+//! and [`crate::reference_bfs`], at any thread count.
+//!
+//! [`par_bottom_up_step`] range-partitions the vertices per NUMA domain
+//! (§V-C) into work units claimed from a shared cursor. A unit walks the
+//! visited bitmap a word at a time and probes only the unvisited bits, so
+//! the many already-visited or isolated vertices of a late level cost one
+//! word load per 64. Discoveries of a word are published with one
+//! `fetch_or` into `visited` and one into `next`.
 //!
 //! [`BottomUpSource`] abstracts where the neighbor list lives:
 //!
 //! * [`BackwardGraph`] — fully in DRAM (the paper's implemented layout);
 //! * [`SplitBackwardGraph`] — DRAM head + NVM tail (§VI-E, the extension
 //!   the paper only *estimates*; here it actually runs, counting how many
-//!   probes spill to external memory for Fig. 14).
+//!   probes spill to external memory for Fig. 14). The head holds each
+//!   list's smallest ids, so head-then-tail first hit is still the minimum.
 
-use std::sync::atomic::{AtomicU32, Ordering};
+use std::sync::atomic::{AtomicU32, AtomicUsize, Ordering};
 
-use rayon::prelude::*;
 use sembfs_csr::{BackwardGraph, NeighborCtx, SplitBackwardGraph};
-use sembfs_numa::RangePartition;
+use sembfs_numa::{DomainCounters, LocalDomainCounters, RangePartition};
 use sembfs_semext::{ReadAt, Result};
 
 use crate::bitmap::AtomicBitmap;
 use crate::VertexId;
+
+/// Vertices per bottom-up work unit. Unit boundaries inside a domain are
+/// multiples of this, so only domain boundaries can split a bitmap word.
+const BOTTOM_UP_CHUNK: u64 = 4096;
 
 /// Result of probing one vertex's neighbors for a frontier member.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -38,22 +52,9 @@ pub trait BottomUpSource: Send + Sync {
     /// The NUMA vertex partition.
     fn partition(&self) -> &RangePartition;
 
-    /// Probe `w`'s neighbors in order; stop at the first neighbor for
-    /// which `in_frontier` is true.
+    /// Probe `w`'s neighbors in ascending order; stop at the first
+    /// neighbor for which `in_frontier` is true — the smallest one.
     fn search_parent(
-        &self,
-        w: VertexId,
-        ctx: &mut NeighborCtx,
-        in_frontier: impl Fn(VertexId) -> bool,
-    ) -> Result<SearchOutcome>;
-
-    /// Probe *all* of `w`'s neighbors and return the **smallest** frontier
-    /// member. The deterministic parallel kernel uses this instead of
-    /// [`search_parent`](Self::search_parent): first-hit order depends on
-    /// the adjacency layout (neighbor sorting is optional), while the
-    /// minimum is layout-invariant — the same canonical parent the
-    /// min-parent top-down claim and [`crate::reference_bfs`] produce.
-    fn search_parent_min(
         &self,
         w: VertexId,
         ctx: &mut NeighborCtx,
@@ -75,41 +76,11 @@ impl BottomUpSource for BackwardGraph {
         _ctx: &mut NeighborCtx,
         in_frontier: impl Fn(VertexId) -> bool,
     ) -> Result<SearchOutcome> {
-        let mut scanned = 0u64;
-        for &v in self.neighbors(w) {
-            scanned += 1;
-            if in_frontier(v) {
-                return Ok(SearchOutcome {
-                    parent: Some(v),
-                    dram_edges: scanned,
-                    nvm_edges: 0,
-                });
-            }
-        }
+        let ns = self.neighbors(w);
+        let hit = ns.iter().position(|&v| in_frontier(v));
         Ok(SearchOutcome {
-            parent: None,
-            dram_edges: scanned,
-            nvm_edges: 0,
-        })
-    }
-
-    fn search_parent_min(
-        &self,
-        w: VertexId,
-        _ctx: &mut NeighborCtx,
-        in_frontier: impl Fn(VertexId) -> bool,
-    ) -> Result<SearchOutcome> {
-        let mut scanned = 0u64;
-        let mut best: Option<VertexId> = None;
-        for &v in self.neighbors(w) {
-            scanned += 1;
-            if in_frontier(v) && best.is_none_or(|b| v < b) {
-                best = Some(v);
-            }
-        }
-        Ok(SearchOutcome {
-            parent: best,
-            dram_edges: scanned,
+            parent: hit.map(|i| ns[i]),
+            dram_edges: hit.map_or(ns.len(), |i| i + 1) as u64,
             nvm_edges: 0,
         })
     }
@@ -160,52 +131,13 @@ impl<R: ReadAt> BottomUpSource for SplitBackwardGraph<R> {
         })
     }
 
-    fn search_parent_min(
-        &self,
-        w: VertexId,
-        ctx: &mut NeighborCtx,
-        in_frontier: impl Fn(VertexId) -> bool,
-    ) -> Result<SearchOutcome> {
-        // The minimum may hide in either half: scan the DRAM head *and*
-        // the NVM tail completely, then take the smaller hit.
-        let mut dram_edges = 0u64;
-        let mut best: Option<VertexId> = None;
-        for &v in self.head_neighbors(w) {
-            dram_edges += 1;
-            if in_frontier(v) && best.is_none_or(|b| v < b) {
-                best = Some(v);
-            }
-        }
-        let mut nvm_edges = 0u64;
-        let tail_best = self.with_tail_neighbors(w, ctx, |ns| {
-            let mut tb: Option<VertexId> = None;
-            for &v in ns {
-                nvm_edges += 1;
-                if in_frontier(v) && tb.is_none_or(|b| v < b) {
-                    tb = Some(v);
-                }
-            }
-            tb
-        })?;
-        if let Some(t) = tail_best {
-            if best.is_none_or(|b| t < b) {
-                best = Some(t);
-            }
-        }
-        Ok(SearchOutcome {
-            parent: best,
-            dram_edges,
-            nvm_edges,
-        })
-    }
-
     fn full_degree(&self, w: VertexId, _ctx: &mut NeighborCtx) -> Result<u64> {
         Ok(self.head_neighbors(w).len() as u64 + self.tail_degree(w)?)
     }
 }
 
 /// Output of one bottom-up step.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct BottomUpOutput {
     /// Vertices discovered (set in `next`).
     pub discovered: u64,
@@ -215,106 +147,167 @@ pub struct BottomUpOutput {
     pub nvm_edges: u64,
 }
 
-/// Run one bottom-up step: every unvisited vertex probes `frontier`
-/// (bitmap of the previous level) through `b`; finds are recorded in
-/// `parent`, `visited`, and `next`.
-pub fn bottom_up_step<B: BottomUpSource>(
+impl BottomUpOutput {
+    fn add(&mut self, other: &BottomUpOutput) {
+        self.discovered += other.discovered;
+        self.dram_edges += other.dram_edges;
+        self.nvm_edges += other.nvm_edges;
+    }
+}
+
+/// Probe every unvisited vertex of `range`, a visited-bitmap word at a
+/// time; see the module docs.
+#[allow(clippy::too_many_arguments)]
+fn scan_unit<B: BottomUpSource>(
+    b: &B,
+    range: std::ops::Range<u64>,
+    frontier: &AtomicBitmap,
+    next: &AtomicBitmap,
+    parent: &[AtomicU32],
+    visited: &AtomicBitmap,
+    ctx: &mut NeighborCtx,
+    out: &mut BottomUpOutput,
+) -> Result<()> {
+    for wi in (range.start / 64) as usize..=((range.end - 1) / 64) as usize {
+        let base = wi as u64 * 64;
+        // The bits of this word inside the unit's range.
+        let lo = range.start.max(base) - base;
+        let hi = range.end.min(base + 64) - base;
+        let in_range = (u64::MAX >> (64 - (hi - lo))) << lo;
+        let mut todo = !visited.word(wi) & in_range;
+        let mut found = 0u64;
+        while todo != 0 {
+            let bit = todo.trailing_zeros();
+            todo &= todo - 1;
+            let w = (base + u64::from(bit)) as VertexId;
+            let so = b.search_parent(w, ctx, |v| frontier.get(v))?;
+            out.dram_edges += so.dram_edges;
+            out.nvm_edges += so.nvm_edges;
+            if let Some(p) = so.parent {
+                // w has a unique owner unit: plain store.
+                parent[w as usize].store(p, Ordering::Relaxed);
+                found |= 1 << bit;
+            }
+        }
+        if found != 0 {
+            // The frontier bitmap (not `visited`) arbitrates searches, so
+            // publishing mid-step is safe. Units of two domains can share
+            // a word, hence the atomic OR.
+            visited.or_word(wi, found);
+            next.or_word(wi, found);
+            out.discovered += u64::from(found.count_ones());
+        }
+    }
+    Ok(())
+}
+
+/// Run one bottom-up step on `threads` explicit workers: every unvisited
+/// vertex probes `frontier` (bitmap of the previous level) through `b`;
+/// finds are recorded in `parent`, `visited`, and `next`.
+///
+/// `counters`, when given, are charged every probe as domain-local
+/// traffic (a vertex's own adjacency list lives in its domain).
+#[allow(clippy::too_many_arguments)]
+pub fn par_bottom_up_step<B: BottomUpSource>(
     b: &B,
     frontier: &AtomicBitmap,
     next: &AtomicBitmap,
     parent: &[AtomicU32],
     visited: &AtomicBitmap,
+    threads: usize,
     make_ctx: &(dyn Fn() -> NeighborCtx + Sync),
+    counters: Option<&DomainCounters>,
 ) -> Result<BottomUpOutput> {
     let part = b.partition();
     let domains = part.num_domains();
+    // Work units never straddle a domain boundary, so probes stay
+    // domain-local.
+    let mut units: Vec<(usize, std::ops::Range<u64>)> = Vec::new();
+    for k in 0..domains {
+        let range = part.range(k);
+        let mut s = range.start;
+        while s < range.end {
+            let e = ((s / BOTTOM_UP_CHUNK + 1) * BOTTOM_UP_CHUNK).min(range.end);
+            units.push((k, s..e));
+            s = e;
+        }
+    }
+    if units.is_empty() {
+        return Ok(BottomUpOutput::default());
+    }
 
-    let outs: Vec<BottomUpOutput> = (0..domains)
-        .into_par_iter()
-        .map(|k| -> Result<BottomUpOutput> {
-            let tracer = sembfs_obs::global();
-            let step_start = tracer.is_enabled().then(|| tracer.now_ns());
-            let range = part.range(k);
-            // Chunk the local range so large domains parallelize inside.
-            let chunks: Vec<std::ops::Range<u64>> = {
-                let mut v = Vec::new();
-                let mut s = range.start;
-                while s < range.end {
-                    let e = (s + 4096).min(range.end);
-                    v.push(s..e);
-                    s = e;
-                }
-                v
-            };
-            let pieces: Vec<BottomUpOutput> = chunks
-                .into_par_iter()
-                .map_init(make_ctx, |ctx, chunk| -> Result<BottomUpOutput> {
-                    let mut out = BottomUpOutput {
-                        discovered: 0,
-                        dram_edges: 0,
-                        nvm_edges: 0,
-                    };
-                    for w in chunk {
-                        let w = w as VertexId;
-                        if visited.get(w) {
-                            continue;
+    let cursor = AtomicUsize::new(0);
+    let workers = threads.max(1).min(units.len());
+    let units = &units;
+
+    let results: Vec<Result<(BottomUpOutput, Option<LocalDomainCounters>)>> =
+        std::thread::scope(|scope| {
+            let handles: Vec<_> = (0..workers)
+                .map(|_| {
+                    let cursor = &cursor;
+                    scope.spawn(move || {
+                        let tracer = sembfs_obs::global();
+                        let step_start = tracer.is_enabled().then(|| tracer.now_ns());
+                        let mut ctx = make_ctx();
+                        let mut out = BottomUpOutput::default();
+                        let mut local = counters.map(|_| LocalDomainCounters::new(domains));
+                        loop {
+                            let u = cursor.fetch_add(1, Ordering::Relaxed);
+                            if u >= units.len() {
+                                break;
+                            }
+                            let (k, ref range) = units[u];
+                            let mut unit = BottomUpOutput::default();
+                            scan_unit(
+                                b,
+                                range.clone(),
+                                frontier,
+                                next,
+                                parent,
+                                visited,
+                                &mut ctx,
+                                &mut unit,
+                            )?;
+                            if let Some(local) = local.as_mut() {
+                                local.record(k, k, unit.dram_edges + unit.nvm_edges);
+                            }
+                            out.add(&unit);
                         }
-                        let so = b.search_parent(w, ctx, |v| frontier.get(v))?;
-                        out.dram_edges += so.dram_edges;
-                        out.nvm_edges += so.nvm_edges;
-                        if let Some(p) = so.parent {
-                            parent[w as usize].store(p, Ordering::Relaxed);
-                            visited.set(w);
-                            next.set(w);
-                            out.discovered += 1;
+                        if let Some(start_ns) = step_start {
+                            tracer.span(
+                                start_ns,
+                                tracer.now_ns(),
+                                sembfs_obs::TraceEvent::Step {
+                                    dir: sembfs_obs::Dir::BottomUp,
+                                    scanned_edges: out.dram_edges + out.nvm_edges,
+                                },
+                            );
                         }
-                    }
-                    Ok(out)
+                        Ok((out, local))
+                    })
                 })
-                .collect::<Result<Vec<_>>>()?;
-            let domain_out = pieces.into_iter().fold(
-                BottomUpOutput {
-                    discovered: 0,
-                    dram_edges: 0,
-                    nvm_edges: 0,
-                },
-                |a, b| BottomUpOutput {
-                    discovered: a.discovered + b.discovered,
-                    dram_edges: a.dram_edges + b.dram_edges,
-                    nvm_edges: a.nvm_edges + b.nvm_edges,
-                },
-            );
-            if let Some(start_ns) = step_start {
-                tracer.span(
-                    start_ns,
-                    tracer.now_ns(),
-                    sembfs_obs::TraceEvent::Step {
-                        dir: sembfs_obs::Dir::BottomUp,
-                        scanned_edges: domain_out.dram_edges + domain_out.nvm_edges,
-                    },
-                );
-            }
-            Ok(domain_out)
-        })
-        .collect::<Result<Vec<_>>>()?;
+                .collect();
+            handles
+                .into_iter()
+                .map(|h| h.join().expect("bottom-up worker panicked"))
+                .collect()
+        });
 
-    Ok(outs.into_iter().fold(
-        BottomUpOutput {
-            discovered: 0,
-            dram_edges: 0,
-            nvm_edges: 0,
-        },
-        |a, b| BottomUpOutput {
-            discovered: a.discovered + b.discovered,
-            dram_edges: a.dram_edges + b.dram_edges,
-            nvm_edges: a.nvm_edges + b.nvm_edges,
-        },
-    ))
+    let mut total = BottomUpOutput::default();
+    for r in results {
+        let (out, local) = r?;
+        total.add(&out);
+        if let (Some(counters), Some(local)) = (counters, local) {
+            counters.merge(&local);
+        }
+    }
+    Ok(total)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::reference::reference_bfs;
     use crate::tree::{new_parent_array, snapshot_parents};
     use sembfs_csr::backward::split_csr;
     use sembfs_csr::{build_csr, BuildOptions, CsrGraph};
@@ -322,69 +315,138 @@ mod tests {
     use sembfs_semext::ext_csr::{write_csr_files, ExtCsr};
     use sembfs_semext::{FileBackend, TempDir};
 
+    fn csr(edges: Vec<(u32, u32)>, n: u64) -> CsrGraph {
+        build_csr(&MemEdgeList::new(n, edges), BuildOptions::default()).unwrap()
+    }
+
     fn backward(edges: Vec<(u32, u32)>, n: u64, domains: usize) -> BackwardGraph {
-        let el = MemEdgeList::new(n, edges);
-        let csr = build_csr(
-            &el,
-            BuildOptions {
-                sort_neighbors: true,
-                ..Default::default()
-            },
+        BackwardGraph::new(csr(edges, n), RangePartition::new(n, domains))
+    }
+
+    /// One step from `frontier` with the frontier already visited.
+    fn step<B: BottomUpSource>(
+        b: &B,
+        frontier: &[VertexId],
+        threads: usize,
+    ) -> (BottomUpOutput, Vec<VertexId>, AtomicBitmap) {
+        let n = b.partition().num_vertices();
+        let parent = new_parent_array(n, frontier.first().copied().unwrap_or(0));
+        let visited = AtomicBitmap::new(n);
+        let front = AtomicBitmap::new(n);
+        for &v in frontier {
+            visited.set(v);
+            front.set(v);
+        }
+        let next = AtomicBitmap::new(n);
+        let out = par_bottom_up_step(
+            b,
+            &front,
+            &next,
+            &parent,
+            &visited,
+            threads,
+            &NeighborCtx::dram,
+            None,
         )
         .unwrap();
-        BackwardGraph::new(csr, RangePartition::new(n, domains))
+        (out, snapshot_parents(&parent), next)
+    }
+
+    /// A whole bottom-up-only search from `root`.
+    fn bottom_up_bfs<B: BottomUpSource>(b: &B, root: VertexId, threads: usize) -> Vec<VertexId> {
+        let n = b.partition().num_vertices();
+        let parent = new_parent_array(n, root);
+        let visited = AtomicBitmap::new(n);
+        visited.set(root);
+        let mut front = AtomicBitmap::new(n);
+        front.set(root);
+        let mut next = AtomicBitmap::new(n);
+        loop {
+            next.clear();
+            let out = par_bottom_up_step(
+                b,
+                &front,
+                &next,
+                &parent,
+                &visited,
+                threads,
+                &NeighborCtx::dram,
+                None,
+            )
+            .unwrap();
+            if out.discovered == 0 {
+                return snapshot_parents(&parent);
+            }
+            std::mem::swap(&mut front, &mut next);
+        }
     }
 
     #[test]
     fn discovers_level_from_frontier() {
         // Star: 0 is the frontier, 1..=4 unvisited.
         let bg = backward(vec![(0, 1), (0, 2), (0, 3), (0, 4)], 5, 2);
-        let parent = new_parent_array(5, 0);
-        let visited = AtomicBitmap::new(5);
-        visited.set(0);
-        let frontier = AtomicBitmap::new(5);
-        frontier.set(0);
-        let next = AtomicBitmap::new(5);
-
-        let out =
-            bottom_up_step(&bg, &frontier, &next, &parent, &visited, &NeighborCtx::dram).unwrap();
+        let (out, parent, next) = step(&bg, &[0], 2);
         assert_eq!(out.discovered, 4);
         assert_eq!(next.count_ones(), 4);
-        assert_eq!(&snapshot_parents(&parent)[1..], &[0, 0, 0, 0]);
+        assert_eq!(&parent[1..], &[0, 0, 0, 0]);
     }
 
     #[test]
     fn early_termination_counts_fewer_probes() {
-        // Vertex 3 has neighbors [0, 1, 2] sorted; frontier contains 0 →
-        // one probe suffices.
+        // Vertex 3 has neighbors [0, 1, 2]; frontier contains 0 → one
+        // probe suffices.
         let bg = backward(vec![(3, 0), (3, 1), (3, 2)], 4, 1);
-        let parent = new_parent_array(4, 0);
-        let visited = AtomicBitmap::new(4);
-        visited.set(0);
-        let frontier = AtomicBitmap::new(4);
-        frontier.set(0);
-        let next = AtomicBitmap::new(4);
-
-        let out =
-            bottom_up_step(&bg, &frontier, &next, &parent, &visited, &NeighborCtx::dram).unwrap();
+        let (out, parent, _) = step(&bg, &[0], 1);
         assert_eq!(out.discovered, 1);
         // 3 probed once (hit 0 immediately); 1 and 2 probed their single
         // neighbor (3, not in frontier) once each.
         assert_eq!(out.dram_edges, 3);
-        assert_eq!(parent[3].load(Ordering::Relaxed), 0);
+        assert_eq!(parent[3], 0);
     }
 
     #[test]
     fn no_frontier_discovers_nothing() {
         let bg = backward(vec![(0, 1)], 2, 1);
-        let parent = new_parent_array(2, 0);
-        let visited = AtomicBitmap::new(2);
-        let frontier = AtomicBitmap::new(2);
-        let next = AtomicBitmap::new(2);
-        let out =
-            bottom_up_step(&bg, &frontier, &next, &parent, &visited, &NeighborCtx::dram).unwrap();
+        let (out, _, next) = step(&bg, &[], 1);
         assert_eq!(out.discovered, 0);
         assert_eq!(next.count_ones(), 0);
+    }
+
+    #[test]
+    fn first_hit_is_min_frontier_neighbor() {
+        // Inserted as 2, 0, 1; the CSR stores [0, 1, 2]. Against frontier
+        // {1, 2} the first hit is 1 — the minimum — after two probes.
+        let bg = backward(vec![(3, 2), (3, 0), (3, 1)], 4, 1);
+        let so = bg
+            .search_parent(3, &mut NeighborCtx::dram(), |v| v == 1 || v == 2)
+            .unwrap();
+        assert_eq!((so.parent, so.dram_edges), (Some(1), 2));
+        let (out, parent, next) = step(&bg, &[1, 2], 4);
+        assert_eq!(out.discovered, 1);
+        assert_eq!(parent[3], 1);
+        assert!(next.get(3));
+    }
+
+    #[test]
+    fn unaligned_domains_match_reference_at_every_thread_count() {
+        // n = 1000 over 3 domains: every domain boundary falls inside a
+        // bitmap word, and the last word is partial.
+        let n = 1000u64;
+        let mut rng = sembfs_graph500::rng::Xoshiro256::seed_from(5, 0);
+        let edges: Vec<(u32, u32)> = (0..3000)
+            .map(|_| {
+                let u = (rng.next_u64() % n) as u32;
+                (u, (rng.next_u64() % n) as u32)
+            })
+            .collect();
+        let graph = csr(edges, n);
+        let root = (0..n as u32).max_by_key(|&v| graph.degree(v)).unwrap();
+        let want = reference_bfs(&graph, root).parent;
+        let bg = BackwardGraph::new(graph, RangePartition::new(n, 3));
+        assert!(!bg.partition().range(1).start.is_multiple_of(64));
+        for threads in [1, 2, 4] {
+            assert_eq!(bottom_up_bfs(&bg, root, threads), want, "{threads} threads");
+        }
     }
 
     fn split_source(
@@ -412,23 +474,18 @@ mod tests {
         )
     }
 
+    /// Vertex 5 with neighbors [0, 1, 2, 3, 4], 2 of them in DRAM.
+    fn fan(dir: &TempDir) -> SplitBackwardGraph<FileBackend> {
+        let g = csr(vec![(5, 3), (5, 0), (5, 4), (5, 1), (5, 2)], 6);
+        split_source(&g, 2, 1, dir)
+    }
+
     #[test]
     fn split_source_spills_to_tail() {
-        // Vertex 5 has neighbors [0,1,2,3,4]; keep 2 in DRAM. Frontier
-        // contains only 4 → head misses (2 probes), tail finds it (3rd
-        // tail probe).
-        let el = MemEdgeList::new(6, vec![(5, 0), (5, 1), (5, 2), (5, 3), (5, 4)]);
-        let csr = build_csr(
-            &el,
-            BuildOptions {
-                sort_neighbors: true,
-                ..Default::default()
-            },
-        )
-        .unwrap();
+        // Frontier contains only 4 → head misses (2 probes), tail finds it
+        // (3rd tail probe).
         let dir = TempDir::new("bu-split").unwrap();
-        let sbg = split_source(&csr, 2, 1, &dir);
-
+        let sbg = fan(&dir);
         let mut ctx = NeighborCtx::dram();
         let so = sbg.search_parent(5, &mut ctx, |v| v == 4).unwrap();
         assert_eq!(so.parent, Some(4));
@@ -438,73 +495,30 @@ mod tests {
     }
 
     #[test]
-    fn min_search_returns_smallest_frontier_neighbor() {
-        // Vertex 3 has neighbors [2, 0, 1] (unsorted build): first-hit
-        // against frontier {1, 2} would return 2, the min scan returns 1.
-        let el = MemEdgeList::new(4, vec![(3, 2), (3, 0), (3, 1)]);
-        let csr = build_csr(&el, BuildOptions::default()).unwrap();
-        let bg = BackwardGraph::new(csr, RangePartition::new(4, 1));
-        let mut ctx = NeighborCtx::dram();
-        let in_frontier = |v: VertexId| v == 1 || v == 2;
-        let so = bg.search_parent_min(3, &mut ctx, in_frontier).unwrap();
-        assert_eq!(so.parent, Some(1));
-        // The min scan always pays the full degree.
-        assert_eq!(so.dram_edges, 3);
-    }
-
-    #[test]
-    fn min_search_spans_head_and_tail() {
-        // Vertex 5 sorted neighbors [0,1,2,3,4], head limit 2 → head
-        // holds [0,1], tail [2,3,4]. With frontier {1,3} the min is in
-        // the head; with frontier {3,4} it is in the tail.
-        let el = MemEdgeList::new(6, vec![(5, 0), (5, 1), (5, 2), (5, 3), (5, 4)]);
-        let csr = build_csr(
-            &el,
-            BuildOptions {
-                sort_neighbors: true,
-                ..Default::default()
-            },
-        )
-        .unwrap();
-        let dir = TempDir::new("bu-minsplit").unwrap();
-        let sbg = split_source(&csr, 2, 1, &dir);
+    fn split_first_hit_is_min_across_head_and_tail() {
+        // Head [0, 1], tail [2, 3, 4]. Frontier {1, 3}: the minimum is in
+        // the head and the tail is never read; {3, 4}: it is the first
+        // tail hit.
+        let dir = TempDir::new("bu-split-min").unwrap();
+        let sbg = fan(&dir);
         let mut ctx = NeighborCtx::dram();
         let so = sbg
-            .search_parent_min(5, &mut ctx, |v| v == 1 || v == 3)
+            .search_parent(5, &mut ctx, |v| v == 1 || v == 3)
             .unwrap();
-        assert_eq!(so.parent, Some(1));
-        assert_eq!((so.dram_edges, so.nvm_edges), (2, 3));
+        assert_eq!((so.parent, so.dram_edges, so.nvm_edges), (Some(1), 2, 0));
         let so = sbg
-            .search_parent_min(5, &mut ctx, |v| v == 3 || v == 4)
+            .search_parent(5, &mut ctx, |v| v == 3 || v == 4)
             .unwrap();
-        assert_eq!(so.parent, Some(3));
-    }
-
-    #[test]
-    fn split_source_head_hit_avoids_nvm() {
-        let el = MemEdgeList::new(6, vec![(5, 0), (5, 1), (5, 2), (5, 3), (5, 4)]);
-        let csr = build_csr(
-            &el,
-            BuildOptions {
-                sort_neighbors: true,
-                ..Default::default()
-            },
-        )
-        .unwrap();
-        let dir = TempDir::new("bu-split-hit").unwrap();
-        let sbg = split_source(&csr, 2, 1, &dir);
-        let mut ctx = NeighborCtx::dram();
+        assert_eq!((so.parent, so.dram_edges, so.nvm_edges), (Some(3), 2, 2));
         let so = sbg.search_parent(5, &mut ctx, |v| v == 0).unwrap();
-        assert_eq!(so.parent, Some(0));
-        assert_eq!(so.dram_edges, 1);
-        assert_eq!(so.nvm_edges, 0);
+        assert_eq!((so.parent, so.dram_edges, so.nvm_edges), (Some(0), 1, 0));
     }
 
     #[test]
     fn split_step_equals_dram_step() {
-        // A random-ish graph: both layouts must discover identical levels.
-        let el = MemEdgeList::new(
-            16,
+        // Both layouts must discover identical levels with identical
+        // probe counts (split between DRAM and NVM differently).
+        let g = csr(
             vec![
                 (0, 1),
                 (0, 2),
@@ -522,45 +536,65 @@ mod tests {
                 (13, 14),
                 (14, 15),
             ],
+            16,
         );
-        let csr = build_csr(
-            &el,
-            BuildOptions {
-                sort_neighbors: true,
-                ..Default::default()
-            },
-        )
-        .unwrap();
         let dir = TempDir::new("bu-eq").unwrap();
-        let sbg = split_source(&csr, 1, 2, &dir);
-        let bg = BackwardGraph::new(csr, RangePartition::new(16, 2));
+        let sbg = split_source(&g, 1, 2, &dir);
+        let bg = BackwardGraph::new(g, RangePartition::new(16, 2));
+        for threads in [1, 2] {
+            let (d_out, d_parent, _) = step(&bg, &[0], threads);
+            let (s_out, s_parent, _) = step(&sbg, &[0], threads);
+            assert_eq!(d_out.discovered, s_out.discovered);
+            assert_eq!(d_parent, s_parent);
+            assert_eq!(d_out.dram_edges, s_out.dram_edges + s_out.nvm_edges);
+            assert!(s_out.nvm_edges > 0);
+            assert_eq!(
+                bottom_up_bfs(&bg, 0, threads),
+                bottom_up_bfs(&sbg, 0, threads)
+            );
+        }
+    }
 
-        let run = |do_split: bool| -> (u64, Vec<u32>) {
-            let parent = new_parent_array(16, 0);
-            let visited = AtomicBitmap::new(16);
-            visited.set(0);
-            let frontier = AtomicBitmap::new(16);
-            frontier.set(0);
-            let next = AtomicBitmap::new(16);
-            let out = if do_split {
-                bottom_up_step(
-                    &sbg,
-                    &frontier,
-                    &next,
-                    &parent,
-                    &visited,
-                    &NeighborCtx::dram,
-                )
-                .unwrap()
-            } else {
-                bottom_up_step(&bg, &frontier, &next, &parent, &visited, &NeighborCtx::dram)
-                    .unwrap()
-            };
-            (out.discovered, snapshot_parents(&parent))
-        };
-        let (d1, p1) = run(false);
-        let (d2, p2) = run(true);
-        assert_eq!(d1, d2);
-        assert_eq!(p1, p2);
+    mod properties {
+        use super::*;
+        use proptest::prelude::*;
+
+        proptest! {
+            #![proptest_config(ProptestConfig { cases: 32, ..ProptestConfig::default() })]
+
+            /// On both layouts, for any lists, frontier and DRAM limit k,
+            /// the first hit is the smallest frontier neighbour and the
+            /// probe count is its position plus one.
+            #[test]
+            fn first_hit_is_the_minimum_frontier_neighbor(
+                adj in proptest::collection::vec(
+                    proptest::collection::vec(0u32..40, 0..20), 1..40),
+                frontier in proptest::collection::btree_set(0u32..40, 0..12),
+                k in 0u64..8,
+            ) {
+                let g = CsrGraph::from_adjacency(&adj);
+                let n = g.num_vertices();
+                let dir = TempDir::new("bu-prop").unwrap();
+                let sbg = split_source(&g, k, 1, &dir);
+                let bg = BackwardGraph::new(g.clone(), RangePartition::new(n, 1));
+                let in_frontier = |v: VertexId| frontier.contains(&v);
+                let mut ctx = NeighborCtx::dram();
+                for w in 0..n as VertexId {
+                    let ns = g.neighbors(w);
+                    let min = ns.iter().copied().filter(|v| in_frontier(*v)).min();
+                    let probes = ns
+                        .iter()
+                        .position(|&v| in_frontier(v))
+                        .map_or(ns.len(), |i| i + 1) as u64;
+                    let so = bg.search_parent(w, &mut ctx, in_frontier).unwrap();
+                    prop_assert_eq!(so.parent, min);
+                    prop_assert_eq!(so.dram_edges, probes);
+                    let so = sbg.search_parent(w, &mut ctx, in_frontier).unwrap();
+                    prop_assert_eq!(so.parent, min);
+                    prop_assert_eq!(so.dram_edges + so.nvm_edges, probes);
+                    prop_assert!(so.dram_edges <= k);
+                }
+            }
+        }
     }
 }

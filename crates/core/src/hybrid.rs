@@ -4,9 +4,10 @@
 //! [`DirectionPolicy`] before every level, converts the frontier between
 //! queue and bitmap forms at switches, and records a [`LevelStats`] per
 //! level (including the monitored NVM device's I/O delta, which feeds
-//! Figs. 11–13).
+//! Figs. 11–13). The same loop backs [`hybrid_bfs`] (parent tree + TEPS)
+//! and [`hybrid_bfs_distances`] (per-vertex hop counts only).
 
-use std::sync::atomic::Ordering;
+use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -15,19 +16,18 @@ use sembfs_numa::DomainCounters;
 use sembfs_semext::{ChunkedReader, Device, Result, ShardedPageCache};
 
 use crate::bitmap::AtomicBitmap;
-use crate::bottomup::{bottom_up_step, BottomUpSource};
+use crate::bottomup::{par_bottom_up_step, BottomUpSource};
 use crate::frontier::{bitmap_to_queue, queue_to_bitmap};
 use crate::level_stats::{Direction, LevelStats};
-use crate::parallel::{par_bottom_up_step, par_top_down_step};
 use crate::policy::{DirectionPolicy, PolicyCtx, PolicyEvent};
-use crate::topdown::top_down_step;
+use crate::topdown::par_top_down_step;
 use crate::tree::{new_parent_array, snapshot_parents};
 use crate::VertexId;
 
 /// Tunables of a hybrid BFS execution.
 #[derive(Debug, Clone, Default)]
 pub struct BfsConfig {
-    /// Vertices dequeued per thread per batch in the top-down step
+    /// Vertices dequeued per worker per batch in the top-down step
     /// (the paper uses 64).
     pub batch: usize,
     /// Chunk reader used for semi-external neighbor reads (pass
@@ -54,28 +54,25 @@ pub struct BfsConfig {
     /// Set the monitored cache's sequential readahead window, in pages
     /// (`None` keeps the current window).
     pub cache_readahead_pages: Option<usize>,
-    /// Worker threads for the deterministic parallel kernels
-    /// ([`crate::parallel`]). `0` (the default) keeps the legacy
-    /// shim-parallel kernels; `>= 1` runs exactly that many explicit
-    /// workers with min-parent tie-breaking, so the tree is bit-identical
-    /// to [`crate::reference_bfs`] at any count.
+    /// Worker threads of the step kernels (`0` runs one). The parent tree
+    /// is bit-identical to [`crate::reference_bfs`] at any count.
     pub threads: usize,
-    /// Per-domain locality counters charged by the parallel kernels
-    /// (thread-local accumulate, merged once per step). Ignored when
-    /// `threads == 0`.
+    /// Per-domain locality counters charged by the step kernels
+    /// (thread-local accumulate, merged once per step).
     pub numa_counters: Option<Arc<DomainCounters>>,
 }
 
 impl BfsConfig {
     /// The paper's defaults: batch of 64, no monitoring, synchronous
-    /// `read(2)` I/O. Honors `SEMBFS_BFS_THREADS` (worker count for the
-    /// deterministic parallel kernels; unset or `0` keeps the legacy
-    /// kernels) so test/CI matrices can flip every entry point at once.
+    /// `read(2)` I/O, one worker per available core. `SEMBFS_BFS_THREADS`
+    /// overrides the worker count so test/CI matrices can flip every
+    /// entry point at once.
     pub fn paper() -> Self {
         let threads = std::env::var("SEMBFS_BFS_THREADS")
             .ok()
             .and_then(|s| s.trim().parse().ok())
-            .unwrap_or(0);
+            .filter(|&t: &usize| t > 0)
+            .unwrap_or_else(|| std::thread::available_parallelism().map_or(1, |n| n.get()));
         Self {
             batch: 64,
             reader: None,
@@ -90,14 +87,13 @@ impl BfsConfig {
         }
     }
 
-    /// Run the deterministic parallel kernels on exactly `threads` workers
-    /// (`0` restores the legacy kernels).
+    /// Run the step kernels on exactly `threads` workers.
     pub fn with_threads(mut self, threads: usize) -> Self {
         self.threads = threads;
         self
     }
 
-    /// Attach per-domain locality counters (parallel kernels only).
+    /// Attach per-domain locality counters.
     pub fn with_numa_counters(mut self, counters: Arc<DomainCounters>) -> Self {
         self.numa_counters = Some(counters);
         self
@@ -161,7 +157,9 @@ pub struct BfsRun {
     /// count the official TEPS metric divides by (half the summed degree
     /// of visited vertices).
     pub teps_edges: u64,
-    /// Total kernel wall time (sum of level times).
+    /// Wall time of the whole search, from the root push to the end of
+    /// the last level: steps, frontier conversions, and policy decisions.
+    /// The TEPS edge sweep after the search is excluded.
     pub elapsed: Duration,
 }
 
@@ -192,211 +190,62 @@ pub struct DistanceRun {
     pub visited: u64,
     /// Deepest level reached (0 for an isolated root).
     pub max_level: u32,
-    /// Total kernel wall time (sum of level times).
+    /// Wall time of the whole search (as [`BfsRun::elapsed`]).
     pub elapsed: Duration,
 }
 
-/// Run a hybrid BFS from `root` recording only per-vertex *distances* —
-/// no parent tree is built and no TEPS edge sweep runs.
-///
-/// Consumers that only need eccentricities or point distances (the
-/// pseudo-diameter double sweep, the query engine's `Distance` path) would
-/// otherwise pay for a parent array *and* an `O(n·depth)` parent-chain
-/// walk to recover levels; this entry point writes each level number
-/// directly as its frontier is discovered. One `n`-word scratch array is
-/// shared with the step kernels (they scribble parent ids into it, which
-/// are overwritten with the level number before the next step reads
-/// nothing from it — the kernels arbitrate purely through the visited
-/// bitmap).
-pub fn hybrid_bfs_distances<G, B, P>(
-    forward: &G,
-    backward: &B,
-    root: VertexId,
-    policy: &P,
-    cfg: &BfsConfig,
-) -> Result<DistanceRun>
-where
-    G: DomainNeighbors,
-    B: BottomUpSource,
-    P: DirectionPolicy + ?Sized,
-{
-    let n = forward.num_vertices();
-    assert_eq!(
-        n,
-        backward.partition().num_vertices(),
-        "graph size mismatch"
-    );
-    assert!((root as u64) < n, "root out of range");
-    let batch = if cfg.batch == 0 { 64 } else { cfg.batch };
-    let reader = cfg.reader.unwrap_or_else(ChunkedReader::unmerged);
-    let aggregate = cfg.aggregate_io;
-    if let Some(cache) = &cfg.cache_monitor {
-        if let Some(bytes) = cfg.cache_capacity_bytes {
-            cache.set_capacity_bytes(bytes);
-        }
-        if let Some(pages) = cfg.cache_readahead_pages {
-            cache.set_readahead_pages(pages);
-        }
-    }
-    let ctx_cache = cfg.cache_monitor.clone();
-    let make_ctx = move || {
-        let mut ctx = NeighborCtx::new(reader);
-        if aggregate {
-            ctx = ctx.with_aggregation();
-        }
-        if let Some(cache) = &ctx_cache {
-            ctx = ctx.with_cache(cache.clone());
-        }
-        ctx
-    };
-
-    // The kernels' scratch array: they store parent ids for vertices they
-    // claim; we overwrite each claim with its level before returning.
-    let scratch = new_parent_array(n, root);
-    let visited = AtomicBitmap::new(n);
-    visited.set(root);
-
-    let mut queue: Vec<VertexId> = vec![root];
-    let mut front_bm = AtomicBitmap::new(n);
-    let mut next_bm = AtomicBitmap::new(n);
-    let mut bitmap_current = false;
-
-    let mut direction = Direction::TopDown;
-    let mut prev_frontier = 0u64;
-    let mut frontier_size = 1u64;
-    let mut visited_count = 1u64;
-    let mut level = 1u32;
-    let mut max_level = 0u32;
-    let mut elapsed = Duration::ZERO;
-
-    while frontier_size > 0 {
-        let frontier_edges = if cfg.count_frontier_edges {
-            let mut ctx = make_ctx();
-            let mut sum = 0u64;
-            if bitmap_current {
-                for v in front_bm.iter_ones() {
-                    sum += backward.full_degree(v, &mut ctx)?;
-                }
-            } else {
-                for &v in &queue {
-                    sum += backward.full_degree(v, &mut ctx)?;
-                }
-            }
-            Some(sum)
-        } else {
-            None
-        };
-        let event = cfg
-            .io_monitor
-            .as_ref()
-            .is_some_and(|d| d.is_degraded())
-            .then_some(PolicyEvent::DeviceDegraded);
-        let decided = policy.decide(&PolicyCtx {
-            current: direction,
-            level,
-            n_all: n,
-            frontier: frontier_size,
-            prev_frontier,
-            frontier_edges,
-            unvisited: n - visited_count,
-            event,
-        });
-
-        match decided {
-            Direction::TopDown if bitmap_current => {
-                queue = bitmap_to_queue(&front_bm);
-                bitmap_current = false;
-            }
-            Direction::BottomUp if !bitmap_current => {
-                front_bm.clear();
-                queue_to_bitmap(&queue, &front_bm);
-                bitmap_current = true;
-            }
-            _ => {}
-        }
-        direction = decided;
-
-        let t0 = Instant::now();
-        let discovered = match direction {
-            Direction::TopDown => {
-                let out = if cfg.threads >= 1 {
-                    par_top_down_step(
-                        forward,
-                        &queue,
-                        &scratch,
-                        &visited,
-                        batch,
-                        cfg.threads,
-                        &make_ctx,
-                        cfg.numa_counters.as_deref(),
-                    )?
-                } else {
-                    top_down_step(forward, &queue, &scratch, &visited, batch, &make_ctx)?
-                };
-                for &w in &out.next {
-                    scratch[w as usize].store(level, Ordering::Relaxed);
-                }
-                let d = out.next.len() as u64;
-                queue = out.next;
-                d
-            }
-            Direction::BottomUp => {
-                next_bm.clear();
-                let out = if cfg.threads >= 1 {
-                    par_bottom_up_step(
-                        backward,
-                        &front_bm,
-                        &next_bm,
-                        &scratch,
-                        &visited,
-                        cfg.threads,
-                        &make_ctx,
-                        cfg.numa_counters.as_deref(),
-                    )?
-                } else {
-                    bottom_up_step(backward, &front_bm, &next_bm, &scratch, &visited, &make_ctx)?
-                };
-                std::mem::swap(&mut front_bm, &mut next_bm);
-                for w in front_bm.iter_ones() {
-                    scratch[w as usize].store(level, Ordering::Relaxed);
-                }
-                out.discovered
-            }
-        };
-        elapsed += t0.elapsed();
-
-        if discovered > 0 {
-            max_level = level;
-        }
-        visited_count += discovered;
-        prev_frontier = frontier_size;
-        frontier_size = discovered;
-        level += 1;
-    }
-
-    // The root's slot holds its self-parent (== root); every other claimed
-    // slot was overwritten with its level. Unreached slots hold
-    // INVALID_PARENT, which is the same bit pattern as INVALID_LEVEL.
-    scratch[root as usize].store(0, Ordering::Relaxed);
-    Ok(DistanceRun {
-        levels: snapshot_parents(&scratch),
-        visited: visited_count,
-        max_level,
-        elapsed,
-    })
+/// What the level loop leaves in its per-vertex array.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Record {
+    /// Each vertex's parent, as the step kernels write it.
+    Parents,
+    /// Each vertex's level: the kernels' parent writes are overwritten
+    /// after every step (they arbitrate through the visited bitmap and
+    /// never read a claimed slot again).
+    Levels,
 }
 
-/// Run a hybrid BFS from `root` over `forward`/`backward` using `policy`.
-///
-/// The first level always runs top-down from the root (§III-C: "we first
-/// start BFS from a source vertex by using the top-down approach").
-pub fn hybrid_bfs<G, B, P>(
+/// The state one pass of the level loop leaves behind.
+struct Traversal {
+    /// Parents or levels, per [`Record`].
+    slots: Vec<AtomicU32>,
+    visited: AtomicBitmap,
+    visited_count: u64,
+    levels: Vec<LevelStats>,
+    elapsed: Duration,
+    /// Trace timestamps of the search, when it was traced.
+    span_ns: Option<(u64, u64)>,
+}
+
+/// The per-worker neighbor-read scratch `cfg` asks for.
+fn ctx_factory(cfg: &BfsConfig) -> impl Fn() -> NeighborCtx + Sync {
+    let reader = cfg.reader.unwrap_or_else(ChunkedReader::unmerged);
+    let aggregate = cfg.aggregate_io;
+    let cache = cfg.cache_monitor.clone();
+    move || {
+        let mut ctx = NeighborCtx::new(reader);
+        if aggregate {
+            ctx = ctx.with_aggregation();
+        }
+        if let Some(cache) = &cache {
+            ctx = ctx.with_cache(cache.clone());
+        }
+        ctx
+    }
+}
+
+/// The level loop. The first level always runs top-down from the root
+/// (§III-C: "we first start BFS from a source vertex by using the
+/// top-down approach") unless the policy overrides it. Distances-only
+/// searches (`Record::Levels`) are not traced.
+fn traverse<G, B, P>(
     forward: &G,
     backward: &B,
     root: VertexId,
     policy: &P,
     cfg: &BfsConfig,
-) -> Result<BfsRun>
+    record: Record,
+) -> Result<Traversal>
 where
     G: DomainNeighbors,
     B: BottomUpSource,
@@ -410,8 +259,7 @@ where
     );
     assert!((root as u64) < n, "root out of range");
     let batch = if cfg.batch == 0 { 64 } else { cfg.batch };
-    let reader = cfg.reader.unwrap_or_else(ChunkedReader::unmerged);
-    let aggregate = cfg.aggregate_io;
+    let threads = cfg.threads.max(1);
     if let Some(cache) = &cfg.cache_monitor {
         if let Some(bytes) = cfg.cache_capacity_bytes {
             cache.set_capacity_bytes(bytes);
@@ -420,24 +268,17 @@ where
             cache.set_readahead_pages(pages);
         }
     }
-    let ctx_cache = cfg.cache_monitor.clone();
-    let make_ctx = move || {
-        let mut ctx = NeighborCtx::new(reader);
-        if aggregate {
-            ctx = ctx.with_aggregation();
-        }
-        if let Some(cache) = &ctx_cache {
-            ctx = ctx.with_cache(cache.clone());
-        }
-        ctx
-    };
+    let make_ctx = ctx_factory(cfg);
+    let counters = cfg.numa_counters.as_deref();
+    let tracer = sembfs_obs::global();
+    let trace = record == Record::Parents && tracer.is_enabled();
 
-    let parent = new_parent_array(n, root);
+    // The Graph500 search timer starts at the root push.
+    let start = Instant::now();
+    let start_ns = trace.then(|| tracer.now_ns());
+    let slots = new_parent_array(n, root);
     let visited = AtomicBitmap::new(n);
     visited.set(root);
-
-    let tracer = sembfs_obs::global();
-    let run_start_ns = tracer.is_enabled().then(|| tracer.now_ns());
 
     // Frontier state: queue form for top-down, bitmap form for bottom-up.
     let mut queue: Vec<VertexId> = vec![root];
@@ -451,15 +292,7 @@ where
     let mut frontier_size = 1u64;
     let mut visited_count = 1u64;
     let mut level = 1u32;
-    let mut elapsed = Duration::ZERO;
     let mut was_degraded = false;
-    // Worker count recorded per level: exact for the explicit pool, the
-    // shim's effective parallelism for the legacy kernels.
-    let level_threads = if cfg.threads >= 1 {
-        cfg.threads
-    } else {
-        rayon::current_num_threads()
-    };
 
     while frontier_size > 0 {
         // Policy decision for this level. The frontier's outgoing-edge
@@ -489,7 +322,7 @@ where
         // bottom-up direction. The transition is traced once per edge
         // (healthy→degraded), not per level.
         let degraded = cfg.io_monitor.as_ref().is_some_and(|d| d.is_degraded());
-        if degraded && !was_degraded && tracer.is_enabled() {
+        if degraded && !was_degraded && trace {
             if let Some(faults) = cfg.io_monitor.as_ref().and_then(|d| d.faults()) {
                 let (errors, requests) = faults.health().counts();
                 tracer.instant(sembfs_obs::TraceEvent::Degraded { errors, requests });
@@ -513,7 +346,7 @@ where
         // sizes, n_all, unvisited, and the policy's α/β when it has that
         // form — enough to re-feed the policy offline and replay the
         // direction sequence from the trace alone.
-        if tracer.is_enabled() {
+        if trace {
             let (alpha, beta) = policy.thresholds().unwrap_or((0.0, 0.0));
             tracer.instant(sembfs_obs::TraceEvent::Switch {
                 level,
@@ -543,27 +376,15 @@ where
         }
         direction = decided;
 
-        let level_start_ns = tracer.is_enabled().then(|| tracer.now_ns());
+        let level_start_ns = trace.then(|| tracer.now_ns());
         let io_before = cfg.io_monitor.as_ref().map(|d| d.snapshot());
         let cache_before = cfg.cache_monitor.as_ref().map(|c| c.snapshot());
         let t0 = Instant::now();
         let (discovered, scanned, nvm_edges) = match direction {
             Direction::TopDown => {
-                let out = if cfg.threads >= 1 {
-                    par_top_down_step(
-                        forward,
-                        &queue,
-                        &parent,
-                        &visited,
-                        batch,
-                        cfg.threads,
-                        &make_ctx,
-                        cfg.numa_counters.as_deref(),
-                    )?
-                } else {
-                    top_down_step(forward, &queue, &parent, &visited, batch, &make_ctx)?
-                };
-                let d = out.next.len() as u64;
+                let out = par_top_down_step(
+                    forward, &queue, &slots, &visited, batch, threads, &make_ctx, counters,
+                )?;
                 // NVM share of top-down scans: with an external forward
                 // graph every scanned edge is read from NVM (Fig. 10's
                 // edge-level attribution); DRAM forward graphs contribute
@@ -574,24 +395,13 @@ where
                     0
                 };
                 queue = out.next;
-                (d, out.scanned_edges, nvm)
+                (queue.len() as u64, out.scanned_edges, nvm)
             }
             Direction::BottomUp => {
                 next_bm.clear();
-                let out = if cfg.threads >= 1 {
-                    par_bottom_up_step(
-                        backward,
-                        &front_bm,
-                        &next_bm,
-                        &parent,
-                        &visited,
-                        cfg.threads,
-                        &make_ctx,
-                        cfg.numa_counters.as_deref(),
-                    )?
-                } else {
-                    bottom_up_step(backward, &front_bm, &next_bm, &parent, &visited, &make_ctx)?
-                };
+                let out = par_bottom_up_step(
+                    backward, &front_bm, &next_bm, &slots, &visited, threads, &make_ctx, counters,
+                )?;
                 // The produced set becomes the next level's frontier.
                 std::mem::swap(&mut front_bm, &mut next_bm);
                 (
@@ -602,7 +412,6 @@ where
             }
         };
         let dt = t0.elapsed();
-        elapsed += dt;
         let io = match (&cfg.io_monitor, io_before) {
             (Some(d), Some(before)) => Some(d.snapshot().delta(&before)),
             _ => None,
@@ -629,9 +438,18 @@ where
                     io_wall_ns: io.as_ref().map_or(0, |i| i.wall_ns()),
                     cache_hits: cache.as_ref().map_or(0, |c| c.hits),
                     cache_misses: cache.as_ref().map_or(0, |c| c.misses),
-                    threads: level_threads as u64,
+                    threads: threads as u64,
                 },
             );
+        }
+
+        if record == Record::Levels {
+            let mark = |w: VertexId| slots[w as usize].store(level, Ordering::Relaxed);
+            if bitmap_current {
+                front_bm.iter_ones().for_each(mark);
+            } else {
+                queue.iter().copied().for_each(mark);
+            }
         }
 
         visited_count += discovered;
@@ -645,7 +463,7 @@ where
             elapsed: dt,
             io,
             cache,
-            threads: level_threads,
+            threads,
         });
 
         prev_frontier = frontier_size;
@@ -653,18 +471,41 @@ where
         level += 1;
     }
 
-    // The run span closes here — the TEPS degree sweep below is
-    // accounting, not traversal, and must not inflate the traced run.
-    let run_end_ns = run_start_ns.map(|_| tracer.now_ns());
+    Ok(Traversal {
+        slots,
+        visited,
+        visited_count,
+        levels,
+        elapsed: start.elapsed(),
+        span_ns: start_ns.map(|s| (s, tracer.now_ns())),
+    })
+}
+
+/// Run a hybrid BFS from `root` over `forward`/`backward` using `policy`.
+pub fn hybrid_bfs<G, B, P>(
+    forward: &G,
+    backward: &B,
+    root: VertexId,
+    policy: &P,
+    cfg: &BfsConfig,
+) -> Result<BfsRun>
+where
+    G: DomainNeighbors,
+    B: BottomUpSource,
+    P: DirectionPolicy + ?Sized,
+{
+    let t = traverse(forward, backward, root, policy, cfg, Record::Parents)?;
 
     // TEPS edge accounting: half the summed degree of visited vertices.
+    // Accounting, not traversal: outside both the timer and the run span.
     use rayon::prelude::*;
+    let n = forward.num_vertices();
     let degree_sum: u64 = (0..n.div_ceil(4096))
         .into_par_iter()
-        .map_init(make_ctx, |ctx, blk| -> Result<u64> {
+        .map_init(ctx_factory(cfg), |ctx, blk| -> Result<u64> {
             let mut sum = 0u64;
             for v in blk * 4096..((blk + 1) * 4096).min(n) {
-                if visited.get(v as VertexId) {
+                if t.visited.get(v as VertexId) {
                     sum += backward.full_degree(v as VertexId, ctx)?;
                 }
             }
@@ -672,25 +513,62 @@ where
         })
         .try_reduce(|| 0, |a, b| Ok(a + b))?;
 
-    if let (Some(start_ns), Some(end_ns)) = (run_start_ns, run_end_ns) {
-        tracer.span(
+    if let Some((start_ns, end_ns)) = t.span_ns {
+        sembfs_obs::global().span(
             start_ns,
             end_ns,
             sembfs_obs::TraceEvent::Run {
                 root: root as u64,
-                visited: visited_count,
+                visited: t.visited_count,
                 teps_edges: degree_sum / 2,
-                levels: levels.len() as u64,
+                levels: t.levels.len() as u64,
             },
         );
     }
 
     Ok(BfsRun {
-        parent: snapshot_parents(&parent),
-        levels,
-        visited: visited_count,
+        parent: snapshot_parents(&t.slots),
+        levels: t.levels,
+        visited: t.visited_count,
         teps_edges: degree_sum / 2,
-        elapsed,
+        elapsed: t.elapsed,
+    })
+}
+
+/// Run a hybrid BFS from `root` recording only per-vertex *distances* —
+/// no parent tree is built and no TEPS edge sweep runs.
+///
+/// Consumers that only need eccentricities or point distances (the
+/// pseudo-diameter double sweep, the query engine's `Distance` path) would
+/// otherwise pay for a parent array *and* an `O(n·depth)` parent-chain
+/// walk to recover levels; this entry point writes each level number
+/// directly as its frontier is discovered.
+pub fn hybrid_bfs_distances<G, B, P>(
+    forward: &G,
+    backward: &B,
+    root: VertexId,
+    policy: &P,
+    cfg: &BfsConfig,
+) -> Result<DistanceRun>
+where
+    G: DomainNeighbors,
+    B: BottomUpSource,
+    P: DirectionPolicy + ?Sized,
+{
+    let t = traverse(forward, backward, root, policy, cfg, Record::Levels)?;
+    // The root's slot holds its self-parent; unreached slots hold
+    // INVALID_PARENT, the same bit pattern as INVALID_LEVEL.
+    t.slots[root as usize].store(0, Ordering::Relaxed);
+    Ok(DistanceRun {
+        levels: snapshot_parents(&t.slots),
+        visited: t.visited_count,
+        max_level: t
+            .levels
+            .iter()
+            .rev()
+            .find(|l| l.discovered > 0)
+            .map_or(0, |l| l.level),
+        elapsed: t.elapsed,
     })
 }
 
@@ -705,14 +583,7 @@ mod tests {
 
     fn graphs(edges: Vec<(u32, u32)>, n: u64, domains: usize) -> (DramForwardGraph, BackwardGraph) {
         let el = MemEdgeList::new(n, edges);
-        let csr = build_csr(
-            &el,
-            BuildOptions {
-                sort_neighbors: true,
-                ..Default::default()
-            },
-        )
-        .unwrap();
+        let csr = build_csr(&el, BuildOptions::default()).unwrap();
         let part = RangePartition::new(n, domains);
         (
             DramForwardGraph::from_csr(&csr, &part),
@@ -907,6 +778,21 @@ mod tests {
                 assert_eq!(run.visited, want.visited);
                 assert!(run.levels.iter().all(|l| l.threads == threads));
             }
+        }
+    }
+
+    #[test]
+    fn run_elapsed_covers_every_level() {
+        let (fg, bg) = star_tail();
+        for policy in [
+            AlphaBetaPolicy::new(1e4, 1e4),
+            AlphaBetaPolicy::new(1e9, 1e9),
+        ] {
+            let run = hybrid_bfs(&fg, &bg, 0, &policy, &BfsConfig::paper()).unwrap();
+            let steps: Duration = run.levels.iter().map(|l| l.elapsed).sum();
+            assert!(steps <= run.elapsed, "{steps:?} > {:?}", run.elapsed);
+            let dist = hybrid_bfs_distances(&fg, &bg, 0, &policy, &BfsConfig::paper()).unwrap();
+            assert!(dist.elapsed > Duration::ZERO);
         }
     }
 

@@ -47,7 +47,8 @@ pub struct LevelStats {
     /// Of `scanned_edges`, how many were served from external memory
     /// (forward-graph reads in top-down, tail reads in split bottom-up).
     pub nvm_edges: u64,
-    /// Wall time of the step.
+    /// Wall time of the step alone (frontier conversion and the policy
+    /// run between steps; [`crate::BfsRun::elapsed`] covers both).
     pub elapsed: Duration,
     /// I/O-statistics delta of the monitored NVM device over this step,
     /// when a device is being monitored.
@@ -56,8 +57,7 @@ pub struct LevelStats {
     /// monitored (hit-rate per level: the levels whose working set fits
     /// DRAM run at cache speed, the rest pay the device).
     pub cache: Option<CacheSnapshot>,
-    /// Worker threads the step ran on (exact for the deterministic
-    /// parallel kernels, the shim's effective parallelism otherwise).
+    /// Worker threads the step ran on.
     pub threads: usize,
 }
 

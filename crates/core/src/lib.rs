@@ -14,14 +14,15 @@
 //! * [`bitmap`], [`frontier`], [`tree`] — BFS status data (§IV-A):
 //!   visited/frontier bitmaps, queues, the parent tree.
 //! * [`topdown`], [`bottomup`] — the two step kernels, generic over where
-//!   their graph lives (DRAM or metered NVM).
+//!   their graph lives (DRAM or metered NVM). Both run on explicit
+//!   work-stealing workers and give every vertex its smallest
+//!   previous-level neighbor as parent (a `fetch_min` claim top-down, the
+//!   first hit on a sorted adjacency list bottom-up), so the tree is
+//!   bit-identical to [`reference_bfs`] at any thread count
+//!   (`BfsConfig::threads`).
 //! * [`policy`] — direction-switching: the paper's α/β rule, fixed
 //!   directions (the Fig. 8 baselines), and a Beamer-style heuristic for
 //!   ablation.
-//! * [`parallel`] — deterministic parallel step kernels: chunked
-//!   work-stealing top-down with a min-parent `fetch_min` claim and
-//!   range-partitioned bottom-up, bit-identical to [`reference_bfs`] at
-//!   any thread count (`BfsConfig::threads`).
 //! * [`hybrid`] — the level-synchronous driver with per-level
 //!   instrumentation ([`level_stats`]).
 //! * [`mod@reference`] — the serial Graph500-reference-style BFS baseline.
@@ -35,7 +36,6 @@ pub mod energy;
 pub mod frontier;
 pub mod hybrid;
 pub mod level_stats;
-pub mod parallel;
 pub mod policy;
 pub mod reference;
 pub mod scenario;
@@ -43,16 +43,16 @@ pub mod topdown;
 pub mod tree;
 
 pub use bitmap::AtomicBitmap;
-pub use bottomup::{BottomUpSource, SearchOutcome};
+pub use bottomup::{par_bottom_up_step, BottomUpSource, SearchOutcome};
 pub use energy::PowerModel;
 pub use hybrid::{hybrid_bfs, hybrid_bfs_distances, BfsConfig, BfsRun, DistanceRun};
 pub use level_stats::{Direction, LevelStats};
-pub use parallel::{par_bottom_up_step, par_top_down_step};
 pub use policy::{
     AlphaBetaPolicy, BeamerPolicy, DirectionPolicy, FixedPolicy, PolicyCtx, PolicyEvent,
 };
 pub use reference::reference_bfs;
 pub use scenario::{AccessPath, Scenario, ScenarioData, ScenarioOptions};
+pub use topdown::par_top_down_step;
 pub use tree::status_data_bytes;
 
 pub use sembfs_graph500::{VertexId, INVALID_PARENT};

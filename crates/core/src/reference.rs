@@ -8,9 +8,10 @@
 //! level-synchronously with the frontier iterated in ascending vertex
 //! order, so every discovered vertex ends up with the **smallest**
 //! frontier neighbor as its parent. That canonical tie-break is what the
-//! parallel kernels ([`crate::parallel`]) reproduce with a `fetch_min`
-//! CAS, making this baseline the bit-exact oracle for the differential
-//! harness at any thread count, direction schedule, and data layout.
+//! step kernels reproduce — top-down with a `fetch_min` claim, bottom-up
+//! with the first hit on a sorted adjacency list — making this baseline
+//! the bit-exact oracle for the differential harness at any thread count,
+//! direction schedule, and data layout.
 
 use sembfs_csr::CsrGraph;
 

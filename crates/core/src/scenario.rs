@@ -137,7 +137,8 @@ pub struct ScenarioOptions {
     pub cache_readahead_pages: usize,
     /// Directory for the "NVM" files; a fresh temp dir when `None`.
     pub data_dir: Option<PathBuf>,
-    /// Sort adjacency lists during construction (deterministic layout).
+    /// No effect: adjacency is always sorted.
+    #[deprecated(note = "adjacency is always sorted")]
     pub sort_neighbors: bool,
     /// Deterministic fault-injection plan for the scenario's simulated
     /// device (`None` = fault-free; ignored in the DRAM-only scenario,
@@ -151,6 +152,7 @@ pub struct ScenarioOptions {
     pub verify_pages: bool,
 }
 
+#[allow(deprecated)]
 impl Default for ScenarioOptions {
     fn default() -> Self {
         Self {
@@ -238,13 +240,7 @@ impl ScenarioData {
         scenario: Scenario,
         options: ScenarioOptions,
     ) -> Result<Self> {
-        let csr = build_csr(
-            edges,
-            BuildOptions {
-                sort_neighbors: options.sort_neighbors,
-                ..Default::default()
-            },
-        )?;
+        let csr = build_csr(edges, BuildOptions::default())?;
         Self::from_csr(csr, scenario, options)
     }
 
@@ -711,7 +707,6 @@ mod tests {
     fn small_options() -> ScenarioOptions {
         ScenarioOptions {
             topology: Topology::new(2, 2),
-            sort_neighbors: true,
             ..Default::default()
         }
     }

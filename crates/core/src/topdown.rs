@@ -2,20 +2,33 @@
 //!
 //! All domains expand the *entire* frontier (the frontier is conceptually
 //! duplicated per domain, Fig. 6), but domain `k` only examines the
-//! neighbor sub-lists living in `k`'s vertex range — so every
-//! `tree`/visited write is domain-local. Threads dequeue vertices in
-//! fixed batches (64 in the paper) and, on the semi-external path, each
-//! batch's neighbor spans are fetched from NVM in ≤4 KiB chunks through
-//! the [`NeighborCtx`] reader.
+//! neighbor sub-lists living in `k`'s vertex range. Workers dequeue the
+//! frontier in fixed batches (64 in the paper) and, on the semi-external
+//! path, each batch's neighbor spans are fetched from NVM in ≤4 KiB chunks
+//! through the [`NeighborCtx`] reader.
+//!
+//! The parent choice is canonical: every frontier neighbor of an unvisited
+//! `w` proposes itself with `fetch_min` on the shared parent array, so `w`
+//! keeps its **smallest** frontier neighbor — the parent
+//! [`crate::reference_bfs`] picks — whatever the worker schedule. Exactly
+//! one proposer (the one that observed `INVALID_PARENT`) appends `w` to its
+//! thread-local next buffer; buffers are concatenated after the join.
+//! Visited bits are set only *after* the step, otherwise a larger early
+//! proposer would suppress a smaller later one.
+//!
+//! Work distribution is chunked work-stealing: a shared atomic cursor over
+//! (domain × frontier-chunk) units. Idle workers immediately claim the next
+//! unit, so on the semi-external path all workers issue page reads
+//! concurrently and their throttled `Device::wait_until` windows overlap.
 
-use std::sync::atomic::{AtomicU32, Ordering};
+use std::sync::atomic::{AtomicU32, AtomicUsize, Ordering};
 
-use rayon::prelude::*;
 use sembfs_csr::{DomainNeighbors, NeighborCtx};
+use sembfs_numa::{DomainCounters, LocalDomainCounters, RangePartition};
 use sembfs_semext::Result;
 
 use crate::bitmap::AtomicBitmap;
-use crate::VertexId;
+use crate::{VertexId, INVALID_PARENT};
 
 /// Output of one top-down step.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -26,73 +39,121 @@ pub struct TopDownOutput {
     pub scanned_edges: u64,
 }
 
-/// Expand `frontier` through `g`, claiming unvisited neighbors.
+/// One worker's step result: its next-frontier buffer, scanned edges, and
+/// (when NUMA accounting is on) its private counter deltas.
+type WorkerOutput = Result<(Vec<VertexId>, u64, Option<LocalDomainCounters>)>;
+
+/// Expand `frontier` through `g` on `threads` explicit workers, claiming
+/// unvisited neighbors with the min-parent rule.
 ///
-/// `parent` and `visited` are updated atomically; `make_ctx` builds the
-/// per-task scratch (supplying the chunk reader appropriate for where `g`
-/// lives). `batch` is the dequeue granularity (the paper uses 64).
-pub fn top_down_step<G: DomainNeighbors>(
+/// `make_ctx` builds each worker's scratch (supplying the chunk reader
+/// appropriate for where `g` lives); `batch` is the dequeue granularity.
+/// `counters`, when given, accrue per-domain locality: each neighbor-list
+/// visit is charged from the frontier vertex's owning domain to the list's
+/// domain, accumulated thread-local and merged once per step.
+#[allow(clippy::too_many_arguments)]
+pub fn par_top_down_step<G: DomainNeighbors>(
     g: &G,
     frontier: &[VertexId],
     parent: &[AtomicU32],
     visited: &AtomicBitmap,
     batch: usize,
+    threads: usize,
     make_ctx: &(dyn Fn() -> NeighborCtx + Sync),
+    counters: Option<&DomainCounters>,
 ) -> Result<TopDownOutput> {
     let domains = g.num_domains();
     let batch = batch.max(1);
+    let num_chunks = frontier.len().div_ceil(batch);
+    let total_units = domains * num_chunks;
+    if total_units == 0 {
+        return Ok(TopDownOutput {
+            next: Vec::new(),
+            scanned_edges: 0,
+        });
+    }
+    // Owner partition of the *frontier* vertices, for locality charging.
+    let part = counters.map(|_| RangePartition::new(g.num_vertices(), domains));
 
-    // Each (domain, batch) task claims vertices independently; the visited
-    // bitmap arbitrates, so no deduplication pass is needed.
-    let per_domain: Vec<(Vec<VertexId>, u64)> = (0..domains)
-        .into_par_iter()
-        .map(|k| -> Result<(Vec<VertexId>, u64)> {
-            let tracer = sembfs_obs::global();
-            let step_start = tracer.is_enabled().then(|| tracer.now_ns());
-            let pieces: Vec<(Vec<VertexId>, u64)> = frontier
-                .par_chunks(batch)
-                .map_init(make_ctx, |ctx, chunk| -> Result<(Vec<VertexId>, u64)> {
+    let cursor = AtomicUsize::new(0);
+    let workers = threads.max(1).min(total_units);
+
+    let results: Vec<WorkerOutput> = std::thread::scope(|scope| {
+        let handles: Vec<_> = (0..workers)
+            .map(|_| {
+                let cursor = &cursor;
+                let part = part.as_ref();
+                scope.spawn(move || {
+                    let tracer = sembfs_obs::global();
+                    let step_start = tracer.is_enabled().then(|| tracer.now_ns());
+                    let mut ctx = make_ctx();
                     let mut next = Vec::new();
                     let mut scanned = 0u64;
-                    // One dequeue batch; batch-capable sources may
-                    // serve it as a single async submission (§VI-D).
-                    g.with_neighbors_batch(k, chunk, ctx, &mut |v, ns| {
-                        scanned += ns.len() as u64;
-                        for &w in ns {
-                            if !visited.get(w) && !visited.test_and_set(w) {
-                                parent[w as usize].store(v, Ordering::Relaxed);
-                                next.push(w);
-                            }
+                    let mut local = counters.map(|_| LocalDomainCounters::new(domains));
+                    loop {
+                        let u = cursor.fetch_add(1, Ordering::Relaxed);
+                        if u >= total_units {
+                            break;
                         }
-                    })?;
-                    Ok((next, scanned))
+                        let k = u / num_chunks;
+                        let c = u % num_chunks;
+                        let chunk = &frontier[c * batch..((c + 1) * batch).min(frontier.len())];
+                        // One dequeue batch; batch-capable sources may
+                        // serve it as a single async submission (§VI-D).
+                        g.with_neighbors_batch(k, chunk, &mut ctx, &mut |v, ns| {
+                            scanned += ns.len() as u64;
+                            if let (Some(local), Some(part)) = (local.as_mut(), part) {
+                                local.record(part.domain_of(v as u64), k, ns.len() as u64);
+                            }
+                            for &w in ns {
+                                // Visited bits are stable during the
+                                // step (set after the join below), so
+                                // every frontier neighbor of an
+                                // unvisited w gets to propose.
+                                if !visited.get(w) {
+                                    let prev = parent[w as usize].fetch_min(v, Ordering::Relaxed);
+                                    if prev == INVALID_PARENT {
+                                        next.push(w);
+                                    }
+                                }
+                            }
+                        })?;
+                    }
+                    if let Some(start_ns) = step_start {
+                        tracer.span(
+                            start_ns,
+                            tracer.now_ns(),
+                            sembfs_obs::TraceEvent::Step {
+                                dir: sembfs_obs::Dir::TopDown,
+                                scanned_edges: scanned,
+                            },
+                        );
+                    }
+                    Ok((next, scanned, local))
                 })
-                .collect::<Result<Vec<_>>>()?;
-            let mut next = Vec::new();
-            let mut scanned = 0u64;
-            for (n, s) in pieces {
-                next.extend(n);
-                scanned += s;
-            }
-            if let Some(start_ns) = step_start {
-                tracer.span(
-                    start_ns,
-                    tracer.now_ns(),
-                    sembfs_obs::TraceEvent::Step {
-                        dir: sembfs_obs::Dir::TopDown,
-                        scanned_edges: scanned,
-                    },
-                );
-            }
-            Ok((next, scanned))
-        })
-        .collect::<Result<Vec<_>>>()?;
+            })
+            .collect();
+        handles
+            .into_iter()
+            .map(|h| h.join().expect("top-down worker panicked"))
+            .collect()
+    });
 
     let mut next = Vec::new();
     let mut scanned_edges = 0u64;
-    for (n, s) in per_domain {
+    for r in results {
+        let (n, s, local) = r?;
         next.extend(n);
         scanned_edges += s;
+        if let (Some(counters), Some(local)) = (counters, local) {
+            counters.merge(&local);
+        }
+    }
+    // Exactly one worker claimed each discovered vertex, so the merged
+    // buffers are duplicate-free; publish the visited bits now that no
+    // smaller parent proposal can arrive.
+    for &w in &next {
+        visited.set(w);
     }
     Ok(TopDownOutput {
         next,
@@ -106,8 +167,6 @@ mod tests {
     use crate::tree::{new_parent_array, snapshot_parents};
     use sembfs_csr::{build_csr, BuildOptions, DramForwardGraph};
     use sembfs_graph500::edge_list::MemEdgeList;
-    use sembfs_graph500::INVALID_PARENT;
-    use sembfs_numa::RangePartition;
 
     fn forward(edges: Vec<(u32, u32)>, n: u64, domains: usize) -> DramForwardGraph {
         let el = MemEdgeList::new(n, edges);
@@ -115,21 +174,42 @@ mod tests {
         DramForwardGraph::from_csr(&csr, &RangePartition::new(n, domains))
     }
 
+    fn step(
+        g: &DramForwardGraph,
+        frontier: &[VertexId],
+        parent: &[AtomicU32],
+        visited: &AtomicBitmap,
+        batch: usize,
+        threads: usize,
+    ) -> TopDownOutput {
+        par_top_down_step(
+            g,
+            frontier,
+            parent,
+            visited,
+            batch,
+            threads,
+            &NeighborCtx::dram,
+            None,
+        )
+        .unwrap()
+    }
+
     #[test]
     fn expands_one_level() {
-        // Star: 0 connected to 1..=4.
         let g = forward(vec![(0, 1), (0, 2), (0, 3), (0, 4)], 5, 2);
         let parent = new_parent_array(5, 0);
         let visited = AtomicBitmap::new(5);
         visited.set(0);
-
-        let out = top_down_step(&g, &[0], &parent, &visited, 64, &NeighborCtx::dram).unwrap();
+        let out = step(&g, &[0], &parent, &visited, 64, 4);
         let mut next = out.next.clone();
         next.sort_unstable();
         assert_eq!(next, vec![1, 2, 3, 4]);
         assert_eq!(out.scanned_edges, 4);
-        let snap = snapshot_parents(&parent);
-        assert_eq!(&snap[1..], &[0, 0, 0, 0]);
+        assert_eq!(&snapshot_parents(&parent)[1..], &[0, 0, 0, 0]);
+        for w in 1..5 {
+            assert!(visited.get(w));
+        }
     }
 
     #[test]
@@ -140,53 +220,9 @@ mod tests {
         visited.set(0);
         visited.set(2); // pretend 2 was found earlier
         parent[2].store(99, Ordering::Relaxed);
-
-        let out = top_down_step(&g, &[0], &parent, &visited, 64, &NeighborCtx::dram).unwrap();
+        let out = step(&g, &[0], &parent, &visited, 64, 1);
         assert_eq!(out.next, vec![1]);
-        // 2's parent untouched.
         assert_eq!(parent[2].load(Ordering::Relaxed), 99);
-    }
-
-    #[test]
-    fn scanned_counts_all_frontier_edges() {
-        // Triangle 0-1-2 plus leaf 3 on 0.
-        let g = forward(vec![(0, 1), (1, 2), (2, 0), (0, 3)], 4, 2);
-        let parent = new_parent_array(4, 0);
-        let visited = AtomicBitmap::new(4);
-        visited.set(0);
-        let out = top_down_step(&g, &[0], &parent, &visited, 2, &NeighborCtx::dram).unwrap();
-        // Frontier {0} has degree 3 (1, 2, 3).
-        assert_eq!(out.scanned_edges, 3);
-        assert_eq!(out.next.len(), 3);
-    }
-
-    #[test]
-    fn each_vertex_claimed_once_under_contention() {
-        // Complete-ish bipartite blob: many frontier vertices all pointing
-        // at the same targets — exactly one parent must win per target.
-        let mut edges = Vec::new();
-        for u in 0..32u32 {
-            for w in 32..64u32 {
-                edges.push((u, w));
-            }
-        }
-        let g = forward(edges, 64, 4);
-        let parent = new_parent_array(64, 0);
-        let visited = AtomicBitmap::new(64);
-        let frontier: Vec<u32> = (0..32).collect();
-        for &v in &frontier {
-            visited.set(v);
-        }
-        let out = top_down_step(&g, &frontier, &parent, &visited, 4, &NeighborCtx::dram).unwrap();
-        let mut next = out.next.clone();
-        next.sort_unstable();
-        assert_eq!(next, (32..64).collect::<Vec<u32>>());
-        let snap = snapshot_parents(&parent);
-        for w in 32..64 {
-            let p = snap[w as usize];
-            assert!(p < 32, "vertex {w} got parent {p}");
-        }
-        assert_eq!(out.scanned_edges, 32 * 32);
     }
 
     #[test]
@@ -194,9 +230,112 @@ mod tests {
         let g = forward(vec![(0, 1)], 2, 1);
         let parent = new_parent_array(2, 0);
         let visited = AtomicBitmap::new(2);
-        let out = top_down_step(&g, &[], &parent, &visited, 64, &NeighborCtx::dram).unwrap();
+        let out = step(&g, &[], &parent, &visited, 64, 2);
         assert!(out.next.is_empty());
         assert_eq!(out.scanned_edges, 0);
         assert_eq!(snapshot_parents(&parent)[1], INVALID_PARENT);
+    }
+
+    #[test]
+    fn contended_targets_get_min_parent() {
+        // Complete bipartite 32×32: every target is proposed by all 32
+        // frontier vertices; the canonical winner is always vertex 0.
+        let mut edges = Vec::new();
+        for u in 0..32u32 {
+            for w in 32..64u32 {
+                edges.push((u, w));
+            }
+        }
+        let g = forward(edges, 64, 4);
+        let frontier: Vec<u32> = (0..32).collect();
+        for threads in [1, 2, 4, 8] {
+            let parent = new_parent_array(64, 0);
+            let visited = AtomicBitmap::new(64);
+            for &v in &frontier {
+                visited.set(v);
+            }
+            let out = step(&g, &frontier, &parent, &visited, 4, threads);
+            assert_eq!(out.next.len(), 32, "{threads} threads");
+            assert_eq!(out.scanned_edges, 32 * 32);
+            let snap = snapshot_parents(&parent);
+            for (w, &p) in snap.iter().enumerate().skip(32) {
+                assert_eq!(p, 0, "vertex {w} at {threads} threads");
+            }
+        }
+    }
+
+    #[test]
+    fn claims_are_exactly_once() {
+        // Each discovered vertex must appear in exactly one next buffer.
+        let mut edges = Vec::new();
+        for u in 0..16u32 {
+            for w in 16..176u32 {
+                edges.push((u, w));
+            }
+        }
+        let g = forward(edges, 176, 2);
+        let frontier: Vec<u32> = (0..16).collect();
+        let parent = new_parent_array(176, 0);
+        let visited = AtomicBitmap::new(176);
+        for &v in &frontier {
+            visited.set(v);
+        }
+        let out = step(&g, &frontier, &parent, &visited, 2, 8);
+        let mut next = out.next.clone();
+        next.sort_unstable();
+        let deduped = next.len();
+        next.dedup();
+        assert_eq!(next.len(), deduped, "a vertex was claimed twice");
+        assert_eq!(next, (16..176).collect::<Vec<u32>>());
+    }
+
+    #[test]
+    fn thread_counts_agree_with_each_other() {
+        // A denser random-ish graph; every thread count must produce the
+        // same parent array from the same frontier.
+        let p = sembfs_graph500::KroneckerParams::graph500(8, 8);
+        let el = p.generate();
+        let csr = build_csr(&el, BuildOptions::default()).unwrap();
+        let n = csr.num_vertices();
+        let g = DramForwardGraph::from_csr(&csr, &RangePartition::new(n, 4));
+        let root = (0..n as u32).find(|&v| csr.degree(v) > 0).unwrap();
+        let run = |threads: usize| {
+            let parent = new_parent_array(n, root);
+            let visited = AtomicBitmap::new(n);
+            visited.set(root);
+            let mut frontier = vec![root];
+            while !frontier.is_empty() {
+                frontier = step(&g, &frontier, &parent, &visited, 8, threads).next;
+            }
+            snapshot_parents(&parent)
+        };
+        let base = run(1);
+        for threads in [2, 4, 8] {
+            assert_eq!(run(threads), base, "{threads} threads diverged");
+        }
+    }
+
+    #[test]
+    fn counters_sum_to_scanned_edges() {
+        let g = forward(vec![(0, 1), (0, 2), (1, 3), (2, 3)], 4, 2);
+        let counters = DomainCounters::new(2);
+        let parent = new_parent_array(4, 0);
+        let visited = AtomicBitmap::new(4);
+        visited.set(0);
+        let out = par_top_down_step(
+            &g,
+            &[0],
+            &parent,
+            &visited,
+            64,
+            2,
+            &NeighborCtx::dram,
+            Some(&counters),
+        )
+        .unwrap();
+        assert_eq!(
+            counters.total_local() + counters.total_remote(),
+            out.scanned_edges
+        );
     }
 }

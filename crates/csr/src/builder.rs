@@ -6,13 +6,16 @@
 //! only ever *streamed*, so construction works identically whether the
 //! list sits in DRAM or on (simulated) NVM — exactly the paper's Step 2,
 //! which builds both graphs "by directly reading the edge list from NVM".
+//! Every adjacency list is then sorted ascending: the bottom-up kernel's
+//! first frontier hit is the smallest frontier neighbour only on sorted
+//! lists (see [`CsrGraph`]).
 
 use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 
 use sembfs_graph500::edge_list::EdgeList;
 use sembfs_semext::Result;
 
-use crate::graph::CsrGraph;
+use crate::graph::{sort_rows, CsrGraph};
 use crate::VertexId;
 
 /// Options controlling CSR construction.
@@ -22,13 +25,14 @@ pub struct BuildOptions {
     /// output (its value array is exactly `2M` entries), so the default is
     /// `false`.
     pub drop_self_loops: bool,
-    /// Sort each adjacency list ascending after construction
-    /// (deterministic layout; also groups low vertex IDs first).
+    /// No effect: adjacency is always sorted.
+    #[deprecated(note = "adjacency is always sorted")]
     pub sort_neighbors: bool,
     /// Edge-list chunk size (edges per parallel task).
     pub chunk_edges: usize,
 }
 
+#[allow(deprecated)]
 impl Default for BuildOptions {
     fn default() -> Self {
         Self {
@@ -84,21 +88,7 @@ pub fn build_csr(edges: &dyn EdgeList, opts: BuildOptions) -> Result<CsrGraph> {
     })?;
 
     let mut values: Vec<VertexId> = values.into_iter().map(AtomicU32::into_inner).collect();
-
-    if opts.sort_neighbors {
-        use rayon::prelude::*;
-        // Sort each adjacency list in place, domain by vertex.
-        let mut slices: Vec<&mut [VertexId]> = Vec::with_capacity(n);
-        let mut rest = values.as_mut_slice();
-        for v in 0..n {
-            let len = (index[v + 1] - index[v]) as usize;
-            let (head, tail) = rest.split_at_mut(len);
-            slices.push(head);
-            rest = tail;
-        }
-        slices.par_iter_mut().for_each(|s| s.sort_unstable());
-    }
-
+    sort_rows(&index, &mut values);
     Ok(CsrGraph::new(index, values))
 }
 
@@ -108,19 +98,14 @@ mod tests {
     use sembfs_graph500::edge_list::MemEdgeList;
     use sembfs_graph500::KroneckerParams;
 
-    fn sorted(mut v: Vec<VertexId>) -> Vec<VertexId> {
-        v.sort_unstable();
-        v
-    }
-
     #[test]
     fn small_graph_both_directions() {
         let el = MemEdgeList::new(4, vec![(0, 1), (1, 2), (2, 3)]);
         let g = build_csr(&el, BuildOptions::default()).unwrap();
         assert_eq!(g.num_vertices(), 4);
         assert_eq!(g.num_values(), 6);
-        assert_eq!(sorted(g.neighbors(1).to_vec()), vec![0, 2]);
-        assert_eq!(sorted(g.neighbors(2).to_vec()), vec![1, 3]);
+        assert_eq!(g.neighbors(1), &[0, 2]);
+        assert_eq!(g.neighbors(2), &[1, 3]);
     }
 
     #[test]
@@ -153,13 +138,9 @@ mod tests {
     }
 
     #[test]
-    fn sorted_neighbors_option() {
+    fn neighbors_are_always_sorted() {
         let el = MemEdgeList::new(5, vec![(0, 4), (0, 1), (0, 3), (0, 2)]);
-        let opts = BuildOptions {
-            sort_neighbors: true,
-            ..Default::default()
-        };
-        let g = build_csr(&el, opts).unwrap();
+        let g = build_csr(&el, BuildOptions::default()).unwrap();
         assert_eq!(g.neighbors(0), &[1, 2, 3, 4]);
     }
 
@@ -174,7 +155,6 @@ mod tests {
 
     #[test]
     fn construction_is_permutation_invariant_per_vertex() {
-        // Same multiset of neighbors regardless of chunking.
         let p = KroneckerParams::graph500(9, 11);
         let el = p.generate();
         let a = build_csr(
@@ -193,14 +173,7 @@ mod tests {
             },
         )
         .unwrap();
-        assert_eq!(a.index(), b.index());
-        for v in 0..a.num_vertices() as VertexId {
-            assert_eq!(
-                sorted(a.neighbors(v).to_vec()),
-                sorted(b.neighbors(v).to_vec()),
-                "vertex {v}"
-            );
-        }
+        assert_eq!(a, b);
     }
 
     #[test]

@@ -21,7 +21,7 @@ use sembfs_numa::RangePartition;
 use sembfs_semext::ext_csr::{write_csr_files, ExtCsr};
 use sembfs_semext::{ReadAt, Result};
 
-use crate::graph::CsrGraph;
+use crate::graph::{split_rows, CsrGraph};
 use crate::neighbors::{DomainNeighbors, NeighborCtx};
 use crate::VertexId;
 
@@ -73,25 +73,21 @@ impl DramForwardGraph {
                     index.push(acc);
                 }
                 let mut values = vec![0 as VertexId; acc as usize];
-                // Fill per vertex into disjoint ranges.
-                let mut slices: Vec<&mut [VertexId]> = Vec::with_capacity(n);
-                let mut rest = values.as_mut_slice();
-                for v in 0..n {
-                    let len = (index[v + 1] - index[v]) as usize;
-                    let (head, tail) = rest.split_at_mut(len);
-                    slices.push(head);
-                    rest = tail;
-                }
-                slices.par_iter_mut().enumerate().for_each(|(v, out)| {
-                    let mut pos = 0;
-                    for &w in csr.neighbors(v as VertexId) {
-                        if partition.domain_of(w as u64) == k {
-                            out[pos] = w;
-                            pos += 1;
+                // Fill per vertex into disjoint ranges; filtering a sorted
+                // row keeps it sorted.
+                split_rows(&index, &mut values)
+                    .par_iter_mut()
+                    .enumerate()
+                    .for_each(|(v, out)| {
+                        let mut pos = 0;
+                        for &w in csr.neighbors(v as VertexId) {
+                            if partition.domain_of(w as u64) == k {
+                                out[pos] = w;
+                                pos += 1;
+                            }
                         }
-                    }
-                    debug_assert_eq!(pos, out.len());
-                });
+                        debug_assert_eq!(pos, out.len());
+                    });
                 CsrGraph::new(index, values)
             })
             .collect();

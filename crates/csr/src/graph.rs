@@ -1,9 +1,18 @@
 //! The in-memory CSR representation (§V-B1, Fig. 5).
 
+use rayon::prelude::*;
+
 use crate::VertexId;
 
 /// A CSR adjacency structure in DRAM: an *index* array of `n + 1` offsets
 /// into a *value* array of neighbor vertex IDs.
+///
+/// Every adjacency list is sorted ascending. The bottom-up probe stops at
+/// the first frontier neighbour (§III, Fig. 2); on a sorted list that hit
+/// is also the *smallest* frontier neighbour, so the early exit yields the
+/// canonical parent that `sembfs_core::reference_bfs` picks. Every
+/// constructor keeps the invariant, and [`CsrGraph::new`] checks it in
+/// debug builds.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CsrGraph {
     index: Vec<u64>,
@@ -11,11 +20,12 @@ pub struct CsrGraph {
 }
 
 impl CsrGraph {
-    /// Wrap raw CSR arrays.
+    /// Wrap raw CSR arrays whose rows are already sorted ascending.
     ///
     /// # Panics
-    /// Panics when the index is empty, non-monotone, or inconsistent with
-    /// the value array.
+    /// Panics when the index is empty or inconsistent with the value
+    /// array; in debug builds also when it is non-monotone or a row is
+    /// unsorted.
     pub fn new(index: Vec<u64>, values: Vec<VertexId>) -> Self {
         assert!(!index.is_empty(), "CSR index must have at least one entry");
         assert_eq!(
@@ -27,10 +37,17 @@ impl CsrGraph {
             index.windows(2).all(|w| w[0] <= w[1]),
             "CSR index must be monotone"
         );
+        debug_assert!(
+            index
+                .windows(2)
+                .all(|w| values[w[0] as usize..w[1] as usize].is_sorted()),
+            "CSR rows must be sorted ascending"
+        );
         Self { index, values }
     }
 
-    /// Build from per-vertex adjacency lists (test/example helper).
+    /// Build from per-vertex adjacency lists, sorting each
+    /// (test/example helper).
     pub fn from_adjacency(adj: &[Vec<VertexId>]) -> Self {
         let mut index = Vec::with_capacity(adj.len() + 1);
         index.push(0u64);
@@ -39,6 +56,7 @@ impl CsrGraph {
             values.extend_from_slice(list);
             index.push(values.len() as u64);
         }
+        sort_rows(&index, &mut values);
         Self::new(index, values)
     }
 
@@ -94,6 +112,25 @@ impl CsrGraph {
     }
 }
 
+/// Split a CSR value array into its rows, one mutable slice per vertex.
+pub(crate) fn split_rows<'a>(index: &[u64], values: &'a mut [VertexId]) -> Vec<&'a mut [VertexId]> {
+    let mut rows = Vec::with_capacity(index.len().saturating_sub(1));
+    let mut rest = values;
+    for w in index.windows(2) {
+        let (row, tail) = rest.split_at_mut((w[1] - w[0]) as usize);
+        rows.push(row);
+        rest = tail;
+    }
+    rows
+}
+
+/// Sort every row of a CSR value array ascending, rows in parallel.
+pub(crate) fn sort_rows(index: &[u64], values: &mut [VertexId]) {
+    split_rows(index, values)
+        .par_iter_mut()
+        .for_each(|row| row.sort_unstable());
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -126,6 +163,19 @@ mod tests {
         let g = CsrGraph::new(vec![0], vec![]);
         assert_eq!(g.num_vertices(), 0);
         assert_eq!(g.num_values(), 0);
+    }
+
+    #[test]
+    fn from_adjacency_sorts_rows() {
+        let g = CsrGraph::from_adjacency(&[vec![3, 1, 2], vec![0], vec![0], vec![0]]);
+        assert_eq!(g.neighbors(0), &[1, 2, 3]);
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "rows must be sorted")]
+    fn unsorted_rows_rejected() {
+        CsrGraph::new(vec![0, 2], vec![1, 0]);
     }
 
     #[test]

@@ -11,7 +11,7 @@
 
 use rayon::prelude::*;
 
-use crate::graph::CsrGraph;
+use crate::graph::{split_rows, CsrGraph};
 use crate::VertexId;
 
 /// A vertex renaming: `new_id = perm[old_id]`, with its inverse.
@@ -81,7 +81,7 @@ impl Relabeling {
     }
 
     /// Rewrite a CSR under this relabeling: row `new` holds the renamed
-    /// neighbors of `old_id(new)`.
+    /// neighbors of `old_id(new)`, re-sorted ascending.
     pub fn apply_to_csr(&self, csr: &CsrGraph) -> CsrGraph {
         let n = csr.num_vertices() as usize;
         assert_eq!(n, self.len());
@@ -93,21 +93,18 @@ impl Relabeling {
             index.push(acc);
         }
         let mut values = vec![0 as VertexId; acc as usize];
-        // Disjoint per-row output slices filled in parallel.
-        let mut slices: Vec<&mut [VertexId]> = Vec::with_capacity(n);
-        let mut rest = values.as_mut_slice();
-        for new in 0..n {
-            let len = (index[new + 1] - index[new]) as usize;
-            let (head, tail) = rest.split_at_mut(len);
-            slices.push(head);
-            rest = tail;
-        }
-        slices.par_iter_mut().enumerate().for_each(|(new, out)| {
-            let old = self.inv[new];
-            for (slot, &w) in out.iter_mut().zip(csr.neighbors(old)) {
-                *slot = self.perm[w as usize];
-            }
-        });
+        // Disjoint per-row output slices filled in parallel. Renaming
+        // scrambles the order, so each row is sorted again.
+        split_rows(&index, &mut values)
+            .par_iter_mut()
+            .enumerate()
+            .for_each(|(new, out)| {
+                let old = self.inv[new];
+                for (slot, &w) in out.iter_mut().zip(csr.neighbors(old)) {
+                    *slot = self.perm[w as usize];
+                }
+                out.sort_unstable();
+            });
         CsrGraph::new(index, values)
     }
 
@@ -135,10 +132,7 @@ mod tests {
         // Degrees: v0=1, v1=3, v2=2, v3=0, v4=2.
         build_csr(
             &MemEdgeList::new(5, vec![(0, 1), (1, 2), (1, 4), (2, 4)]),
-            BuildOptions {
-                sort_neighbors: true,
-                ..Default::default()
-            },
+            BuildOptions::default(),
         )
         .unwrap()
     }
@@ -179,10 +173,21 @@ mod tests {
         for old in 0..csr.num_vertices() as VertexId {
             let new = r.new_id(old);
             let mut a: Vec<VertexId> = csr.neighbors(old).iter().map(|&w| r.new_id(w)).collect();
-            let mut b = relabeled.neighbors(new).to_vec();
             a.sort_unstable();
-            b.sort_unstable();
-            assert_eq!(a, b, "vertex {old}→{new}");
+            assert_eq!(a, relabeled.neighbors(new), "vertex {old}→{new}");
+        }
+    }
+
+    #[test]
+    fn relabeled_rows_are_sorted() {
+        let csr = build_csr(
+            &KroneckerParams::graph500(9, 78).generate(),
+            BuildOptions::default(),
+        )
+        .unwrap();
+        let relabeled = Relabeling::by_degree_desc(&csr).apply_to_csr(&csr);
+        for v in 0..relabeled.num_vertices() as VertexId {
+            assert!(relabeled.neighbors(v).is_sorted(), "row {v}");
         }
     }
 

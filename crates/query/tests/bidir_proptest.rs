@@ -16,7 +16,6 @@ const N: u32 = 32;
 fn options() -> ScenarioOptions {
     ScenarioOptions {
         topology: Topology::new(2, 2),
-        sort_neighbors: true,
         ..Default::default()
     }
 }

@@ -16,7 +16,6 @@ fn build(scenario: Scenario) -> Arc<ScenarioData> {
     let el = KroneckerParams::graph500(9, 8).generate();
     let opts = ScenarioOptions {
         topology: Topology::new(2, 2),
-        sort_neighbors: true,
         page_cache_bytes: scenario.device_profile().is_some().then_some(2u64 << 20),
         ..Default::default()
     };
@@ -187,7 +186,6 @@ fn degraded_device_sheds_load_with_a_shrunken_queue() {
     let el = KroneckerParams::graph500(9, 8).generate();
     let opts = ScenarioOptions {
         topology: Topology::new(2, 2),
-        sort_neighbors: true,
         // A live fault plan so the device carries a health monitor; the
         // rates themselves are irrelevant here — health is forced below.
         fault_plan: Some(sembfs_semext::FaultPlan::parse("eio=0.01,retries=10").unwrap()),

@@ -37,7 +37,6 @@ fn main() {
     for scenario in Scenario::ALL {
         let opts = ScenarioOptions {
             delay_mode: DelayMode::Throttled,
-            sort_neighbors: true,
             // NVM scenarios: an 8 MiB page cache shared by all workers.
             page_cache_bytes: scenario.device_profile().map(|_| 8u64 << 20),
             ..Default::default()

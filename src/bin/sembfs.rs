@@ -161,11 +161,7 @@ fn main() {
                 "{} | {} | {num_roots} roots | {} threads",
                 scenario.label(),
                 policy.label(),
-                if cfg.threads >= 1 {
-                    cfg.threads.to_string()
-                } else {
-                    "legacy".to_string()
-                }
+                cfg.threads.max(1)
             );
             let mut digests: Vec<(VertexId, u64, u64, u64)> = Vec::new();
             let summary = run_rounds(&roots, &edges, |root| {
@@ -427,7 +423,6 @@ fn build_query_data(
     let edges = params.generate();
     let opts = ScenarioOptions {
         delay_mode: sembfs::semext::DelayMode::Throttled,
-        sort_neighbors: true,
         page_cache_bytes: scenario.device_profile().map(|_| cache_mb << 20),
         fault_plan: fault_plan_of(flags),
         ..Default::default()
@@ -443,7 +438,7 @@ fn usage() {
          \x20 info      --scale N [--seed S]                print Table II-style sizes\n\
          \x20 bfs       --scale N [--scenario dram|flash|ssd] [--roots R] [--threads T]\n\
          \x20           [--trace-out TRACE.jsonl] [--faults SPEC] [--checksum]  run the benchmark\n\
-         \x20           (--threads T >= 1 uses the deterministic parallel kernels;\n\
+         \x20           (--threads T sets the kernel workers, default every core;\n\
          \x20            --checksum prints only run-invariant digests for determinism diffs)\n\
          \x20 report    TRACE.jsonl [--chrome OUT.json]      per-level table from a trace\n\
          \x20 sweep     --scale N [--scenario dram|flash|ssd] [--roots R]  α/β sweep\n\

@@ -149,7 +149,7 @@ fn faulted_device_reads_stay_correct_under_contention() {
 /// ground truth must all hold on every repetition.
 #[test]
 fn shared_frontier_merge_claims_exactly_once_under_contention() {
-    use sembfs_core::parallel::par_top_down_step;
+    use sembfs_core::par_top_down_step;
     use sembfs_core::tree::{new_parent_array, snapshot_parents};
     use sembfs_core::AtomicBitmap;
     use sembfs_csr::{build_csr, BuildOptions, DramForwardGraph, NeighborCtx};
@@ -227,8 +227,6 @@ fn faulted_parallel_run_keeps_counters_consistent() {
     let data = ScenarioData::build(&edges, Scenario::DramPcieFlash, opts(None)).unwrap();
     let root = select_roots(data.csr().num_vertices(), 1, 5, |v| data.degree(v))[0];
     let policy = AlphaBetaPolicy::new(10.0, 10.0); // external-heavy: NVM every level
-                                                   // Canonical min-parent oracle — the legacy serial kernel's first-hit
-                                                   // tie-break would be a different (valid but non-canonical) tree.
     let want = reference_bfs(data.csr(), root).parent;
 
     let plan = FaultPlan::parse("seed=47,eio=0.05,corrupt=0.02,stall=0.03,stall_us=40,retries=20")

@@ -156,7 +156,6 @@ fn torn_page_behind_the_store_is_a_checksum_error_never_a_wrong_tree() {
             ScenarioOptions {
                 topology: Topology::new(2, 2),
                 data_dir: Some(dir.path().to_path_buf()),
-                sort_neighbors: true,
                 ..Default::default()
             },
         )

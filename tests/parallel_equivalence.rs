@@ -1,12 +1,13 @@
-//! Differential harness for the parallel hybrid BFS kernels (ISSUE 5).
+//! Differential harness for the hybrid BFS kernels.
 //!
 //! Runs the serial canonical `reference_bfs` against the 1/2/4/8-thread
 //! hybrid across every storage layout (all-DRAM, external forward graph,
 //! cold-tail backward offload) × device profiles × a recoverable
 //! `FaultPlan`, asserting the parent trees are *bit-identical* — not just
 //! level-equivalent — and that the `ValidationReport`s agree. The
-//! min-parent CAS tie-break makes the tree a pure function of the graph,
-//! so any divergence is a kernel bug, not an acceptable alternative tree.
+//! min-parent claim top-down and the first hit on sorted adjacency
+//! bottom-up make the tree a pure function of the graph, so any
+//! divergence is a kernel bug, not an acceptable alternative tree.
 
 use sembfs::prelude::*;
 use sembfs::semext::{DeviceProfile, FaultPlan};
