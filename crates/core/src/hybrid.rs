@@ -45,8 +45,7 @@ pub struct BfsConfig {
     /// per-vertex reads. Only affects semi-external forward graphs.
     pub aggregate_io: bool,
     /// Page cache fronting the forward graph's stores: its counters are
-    /// snapshotted per level ([`LevelStats::cache`]) and its presence
-    /// enables coalesced span prefetches in the batched top-down path.
+    /// snapshotted per level ([`LevelStats::cache`]).
     pub cache_monitor: Option<Arc<ShardedPageCache>>,
     /// Re-budget the monitored cache to this many bytes before the run
     /// (spare-DRAM sweeps; `None` keeps the cache's current budget).
@@ -117,8 +116,7 @@ impl BfsConfig {
         self
     }
 
-    /// Attach a page-cache monitor (per-level counter deltas + batched
-    /// span prefetches).
+    /// Attach a page-cache monitor (per-level counter deltas).
     pub fn with_cache_monitor(mut self, cache: Arc<ShardedPageCache>) -> Self {
         self.cache_monitor = Some(cache);
         self
@@ -221,16 +219,13 @@ struct Traversal {
 fn ctx_factory(cfg: &BfsConfig) -> impl Fn() -> NeighborCtx + Sync {
     let reader = cfg.reader.unwrap_or_else(ChunkedReader::unmerged);
     let aggregate = cfg.aggregate_io;
-    let cache = cfg.cache_monitor.clone();
     move || {
-        let mut ctx = NeighborCtx::new(reader);
+        let ctx = NeighborCtx::new(reader);
         if aggregate {
-            ctx = ctx.with_aggregation();
+            ctx.with_aggregation()
+        } else {
+            ctx
         }
-        if let Some(cache) = &cache {
-            ctx = ctx.with_cache(cache.clone());
-        }
-        ctx
     }
 }
 
@@ -438,6 +433,8 @@ where
                     io_wall_ns: io.as_ref().map_or(0, |i| i.wall_ns()),
                     cache_hits: cache.as_ref().map_or(0, |c| c.hits),
                     cache_misses: cache.as_ref().map_or(0, |c| c.misses),
+                    cache_readahead_pages: cache.as_ref().map_or(0, |c| c.readahead_pages),
+                    cache_prefetch_unused: cache.as_ref().map_or(0, |c| c.prefetch_unused),
                     threads: threads as u64,
                 },
             );

@@ -500,19 +500,15 @@ impl ScenarioData {
     }
 
     /// A per-thread neighbor-read scratch wired for this scenario: the
-    /// device's merge-aware chunk reader and the page cache (when
-    /// configured) are attached, so point reads behave exactly like the
-    /// BFS kernels' reads. Query workers hold one each.
+    /// device's merge-aware chunk reader is attached, so point reads
+    /// behave exactly like the BFS kernels' reads. Query workers hold one
+    /// each.
     pub fn neighbor_ctx(&self) -> NeighborCtx {
         let reader = match &self.device {
             Some(dev) => ChunkedReader::for_device(dev),
             None => ChunkedReader::unmerged(),
         };
-        let mut ctx = NeighborCtx::new(reader);
-        if let Some(cache) = &self.page_cache {
-            ctx = ctx.with_cache(cache.clone());
-        }
-        ctx
+        NeighborCtx::new(reader)
     }
 
     /// Hand every *forward* neighbor of `v` to `f`, reading through the

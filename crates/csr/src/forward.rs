@@ -222,6 +222,14 @@ impl<R: ReadAt> DomainNeighbors for ExtForwardGraph<R> {
         true
     }
 
+    fn prefetch_index(&self, k: usize, vs: &[VertexId]) {
+        self.domains[k].prefetch_index(vs.iter().map(|&v| v as u64));
+    }
+
+    fn prefetch_values(&self, k: usize, vs: &[VertexId]) {
+        self.domains[k].prefetch_values(vs.iter().map(|&v| v as u64));
+    }
+
     fn with_neighbors<R2>(
         &self,
         k: usize,
@@ -253,17 +261,10 @@ impl<R: ReadAt> DomainNeighbors for ExtForwardGraph<R> {
             return Ok(());
         }
         // §VI-D aggregation: one batched submission for the whole dequeue
-        // batch (the paper dequeues 64 vertices at a time, §V-C). With a
-        // page cache attached, dense batches additionally prefetch their
-        // covering value window so the spans are served from DRAM.
+        // batch (the paper dequeues 64 vertices at a time, §V-C).
         ctx.scratch.clear();
         let ids: Vec<u64> = vs.iter().map(|&v| v as u64).collect();
-        self.domains[k].read_neighbors_batch_opts(
-            &ids,
-            &ctx.reader,
-            &mut ctx.batch,
-            ctx.cache.is_some(),
-        )?;
+        self.domains[k].read_neighbors_batch(&ids, &ctx.reader, &mut ctx.batch)?;
         for (i, &v) in vs.iter().enumerate() {
             f(v, &ctx.batch.outs[i]);
         }

@@ -8,9 +8,7 @@
 //! reader, decode buffers) the semi-external path needs, so the hot loop
 //! allocates nothing.
 
-use std::sync::Arc;
-
-use sembfs_semext::{ChunkedReader, NeighborBatch, Result, ShardedPageCache};
+use sembfs_semext::{ChunkedReader, NeighborBatch, Result};
 
 use crate::VertexId;
 
@@ -30,12 +28,6 @@ pub struct NeighborCtx {
     pub aggregate: bool,
     /// Scratch for batched reads.
     pub batch: NeighborBatch,
-    /// The page cache fronting the forward graph's stores, when one is
-    /// configured. Semi-external sources use its presence to issue
-    /// coalesced span prefetches ahead of batched neighbor reads (the
-    /// cache itself sits inside the store, so demand reads hit it either
-    /// way).
-    pub cache: Option<Arc<ShardedPageCache>>,
 }
 
 impl NeighborCtx {
@@ -47,7 +39,6 @@ impl NeighborCtx {
             scratch: Vec::new(),
             aggregate: false,
             batch: NeighborBatch::new(),
-            cache: None,
         }
     }
 
@@ -59,12 +50,6 @@ impl NeighborCtx {
     /// Enable `libaio`-style batched submissions on batch-capable sources.
     pub fn with_aggregation(mut self) -> Self {
         self.aggregate = true;
-        self
-    }
-
-    /// Attach the page cache fronting the forward graph's stores.
-    pub fn with_cache(mut self, cache: Arc<ShardedPageCache>) -> Self {
-        self.cache = Some(cache);
         self
     }
 }
@@ -114,6 +99,17 @@ pub trait DomainNeighbors: Send + Sync {
     fn domain_degree(&self, k: usize, v: VertexId, ctx: &mut NeighborCtx) -> Result<u64> {
         self.with_neighbors(k, v, ctx, |ns| ns.len() as u64)
     }
+
+    /// Start loading the domain-`k` index entries of `vs` ahead of their
+    /// neighbor reads. A best-effort hint that never fails; the default
+    /// (DRAM sources) does nothing.
+    fn prefetch_index(&self, _k: usize, _vs: &[VertexId]) {}
+
+    /// Start loading the domain-`k` neighbor lists of `vs` ahead of their
+    /// reads, once [`prefetch_index`](Self::prefetch_index) has brought
+    /// their index entries in. A best-effort hint that never fails; the
+    /// default (DRAM sources) does nothing.
+    fn prefetch_values(&self, _k: usize, _vs: &[VertexId]) {}
 
     /// Visit the domain-`k` neighbor lists of all of `vs`, invoking
     /// `f(v, neighbors)` per vertex. The default loops over

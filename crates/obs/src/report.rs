@@ -39,6 +39,10 @@ pub struct LevelRow {
     pub cache_hits: u64,
     /// Page-cache demand misses in the window.
     pub cache_misses: u64,
+    /// Pages loaded ahead of demand in the window.
+    pub cache_readahead_pages: u64,
+    /// Pages loaded ahead of demand, evicted unused in the window.
+    pub cache_prefetch_unused: u64,
     /// Worker threads the level's step ran on (0 in pre-threading traces).
     pub threads: u64,
 }
@@ -165,6 +169,8 @@ fn level_row(s: &Sample) -> Option<LevelRow> {
             io_wall_ns,
             cache_hits,
             cache_misses,
+            cache_readahead_pages,
+            cache_prefetch_unused,
             threads,
         } => Some(LevelRow {
             level,
@@ -180,6 +186,8 @@ fn level_row(s: &Sample) -> Option<LevelRow> {
             io_wall_ns,
             cache_hits,
             cache_misses,
+            cache_readahead_pages,
+            cache_prefetch_unused,
             threads,
         }),
         _ => None,
@@ -376,6 +384,15 @@ pub fn render_reports(reports: &[RunReport]) -> String {
                 );
             }
         }
+        let ahead: u64 = r.levels.iter().map(|l| l.cache_readahead_pages).sum();
+        if ahead > 0 {
+            let unused: u64 = r.levels.iter().map(|l| l.cache_prefetch_unused).sum();
+            let _ = writeln!(
+                out,
+                "cache: {ahead} pages loaded ahead of demand, {unused} evicted unused ({:.2}%)",
+                100.0 * unused as f64 / ahead as f64
+            );
+        }
         if r.nvm_requests > 0 {
             let _ = writeln!(
                 out,
@@ -423,6 +440,8 @@ mod tests {
                 io_wall_ns: 300,
                 cache_hits: 3,
                 cache_misses: 1,
+                cache_readahead_pages: 8,
+                cache_prefetch_unused: 2,
                 threads: 4,
             },
         }
@@ -554,6 +573,20 @@ mod tests {
         let text = render_reports(&reports);
         assert!(
             text.contains("faults: 2 eio, 1 corrupt, 1 stall | 1 retries | 1 degraded"),
+            "{text}"
+        );
+    }
+
+    #[test]
+    fn prefetch_waste_renders_per_run() {
+        let samples = vec![
+            run_sample(0, 1000, 7),
+            level_sample(10, 400, 1, Dir::TopDown),
+            level_sample(450, 900, 2, Dir::TopDown),
+        ];
+        let text = render_reports(&build_reports(&samples));
+        assert!(
+            text.contains("cache: 16 pages loaded ahead of demand, 4 evicted unused (25.00%)"),
             "{text}"
         );
     }

@@ -47,6 +47,8 @@ pub fn sample_json(s: &Sample) -> String {
             io_wall_ns,
             cache_hits,
             cache_misses,
+            cache_readahead_pages,
+            cache_prefetch_unused,
             threads,
         } => obj
             .u64("level", level as u64)
@@ -61,6 +63,8 @@ pub fn sample_json(s: &Sample) -> String {
             .u64("io_wall_ns", io_wall_ns)
             .u64("cache_hits", cache_hits)
             .u64("cache_misses", cache_misses)
+            .u64("cache_readahead_pages", cache_readahead_pages)
+            .u64("cache_prefetch_unused", cache_prefetch_unused)
             .u64("threads", threads),
         TraceEvent::Switch {
             level,
@@ -190,6 +194,9 @@ fn parse_sample(v: &Json) -> Result<Option<Sample>, String> {
             io_wall_ns: field_u64(v, "io_wall_ns")?,
             cache_hits: field_u64(v, "cache_hits")?,
             cache_misses: field_u64(v, "cache_misses")?,
+            // Absent in traces written before prefetch accounting landed.
+            cache_readahead_pages: field_u64(v, "cache_readahead_pages").unwrap_or(0),
+            cache_prefetch_unused: field_u64(v, "cache_prefetch_unused").unwrap_or(0),
             // Absent in traces written before threading landed.
             threads: field_u64(v, "threads").unwrap_or(0),
         },
@@ -319,6 +326,8 @@ mod tests {
                     io_wall_ns: 800,
                     cache_hits: 5,
                     cache_misses: 2,
+                    cache_readahead_pages: 6,
+                    cache_prefetch_unused: 1,
                     threads: 4,
                 },
             },
@@ -403,6 +412,31 @@ mod tests {
         let text: String = original.iter().map(|s| sample_json(s) + "\n").collect();
         let parsed = parse_jsonl(&text).unwrap();
         assert_eq!(parsed, original);
+    }
+
+    #[test]
+    fn levels_without_prefetch_counters_decode_as_zero() {
+        // A level line written before the readahead/prefetch counters
+        // existed still parses, with both counters zero.
+        let mut line = sample_json(&samples()[0]);
+        for field in ["cache_readahead_pages", "cache_prefetch_unused"] {
+            let start = line.find(&format!("\"{field}\"")).unwrap();
+            let end = start + line[start..].find(',').unwrap() + 1;
+            line.replace_range(start..end, "");
+        }
+        let parsed = parse_jsonl(&line).unwrap();
+        match parsed[0].event {
+            TraceEvent::Level {
+                cache_readahead_pages,
+                cache_prefetch_unused,
+                cache_hits,
+                ..
+            } => {
+                assert_eq!((cache_readahead_pages, cache_prefetch_unused), (0, 0));
+                assert_eq!(cache_hits, 5);
+            }
+            other => panic!("expected a level, got {other:?}"),
+        }
     }
 
     #[test]

@@ -185,6 +185,12 @@ pub enum TraceEvent {
         cache_hits: u64,
         /// Page-cache demand misses during the level.
         cache_misses: u64,
+        /// Pages loaded into the page cache ahead of demand (readahead
+        /// and prefetch) during the level.
+        cache_readahead_pages: u64,
+        /// Pages loaded ahead of demand that were evicted during the
+        /// level before any demand read hit them.
+        cache_prefetch_unused: u64,
         /// Worker threads the level's step ran on.
         threads: u64,
     },

@@ -50,16 +50,25 @@ pub trait ReadAt: Send + Sync {
         Ok(())
     }
 
+    /// Whether [`prefetch`](ReadAt::prefetch) hints load anything on this
+    /// region right now, so a caller can skip the work of computing them.
+    fn prefetches(&self) -> bool {
+        false
+    }
+
     /// Hint that `[offset, offset + len)` will be read soon.
     ///
-    /// Plain backends ignore it (the default is a no-op); caching stores
-    /// ([`ShardedCachedStore`](crate::ShardedCachedStore)) load the span's
-    /// missing pages ahead of the demand reads, turning many scattered
-    /// small requests into few large sequential ones. Ranges past the end
-    /// of the region are clipped, not an error.
-    fn prefetch(&self, _offset: u64, _len: u64) -> Result<()> {
-        Ok(())
-    }
+    /// Plain backends ignore it (the default is a no-op). On a caching
+    /// store ([`ShardedCachedStore`](crate::ShardedCachedStore)) it is
+    /// **asynchronous**: the span's missing pages are read, verified and
+    /// submitted to the device without waiting, and published in flight,
+    /// so the caller goes on computing while the device works; a later
+    /// demand read of such a page waits only for what is left of its
+    /// device time. The hint is best-effort and never fails: ranges past
+    /// the end of the region are clipped, a page that cannot be loaded is
+    /// left to the demand read, and under a fault plan with active read
+    /// faults it does nothing, so demand reads keep their retrying path.
+    fn prefetch(&self, _offset: u64, _len: u64) {}
 }
 
 fn check_bounds(offset: u64, len: usize, size: u64) -> Result<()> {
@@ -202,7 +211,11 @@ impl<T: ReadAt + ?Sized> ReadAt for Arc<T> {
         (**self).read_batch_at(reqs)
     }
 
-    fn prefetch(&self, offset: u64, len: u64) -> Result<()> {
+    fn prefetches(&self) -> bool {
+        (**self).prefetches()
+    }
+
+    fn prefetch(&self, offset: u64, len: u64) {
         (**self).prefetch(offset, len)
     }
 }
@@ -220,7 +233,11 @@ impl<T: ReadAt + ?Sized> ReadAt for &T {
         (**self).read_batch_at(reqs)
     }
 
-    fn prefetch(&self, offset: u64, len: u64) -> Result<()> {
+    fn prefetches(&self) -> bool {
+        (**self).prefetches()
+    }
+
+    fn prefetch(&self, offset: u64, len: u64) {
         (**self).prefetch(offset, len)
     }
 }

@@ -9,9 +9,16 @@
 //! * an **access latency** floor — a request never completes earlier than
 //!   `arrival + latency` even on an idle device.
 //!
-//! In [`DelayMode::Throttled`] the calling thread really waits until its
-//! modeled completion time, so wall-clock measurements (TEPS, per-level
-//! timings) reflect the device — this is what the benches use. In
+//! A read is two halves. [`Device::submit`] reserves the request on the
+//! timeline, records it, and returns its modeled completion time at once;
+//! [`Device::wait`] blocks until that time. [`Device::read_request`] is
+//! both back to back (the synchronous `read(2)` path), while a caller that
+//! submits several requests before waiting keeps them all in flight — the
+//! queue depth the page cache's asynchronous prefetch builds.
+//!
+//! In [`DelayMode::Throttled`] a wait really blocks until the modeled
+//! completion time, so wall-clock measurements (TEPS, per-level timings)
+//! reflect the device — this is what the benches use. In
 //! [`DelayMode::Accounting`] the model runs but nobody waits — this is what
 //! fast functional tests use. Either way every request is recorded in
 //! [`IoStats`], which yields the paper's `avgqu-sz`/`avgrq-sz` figures.
@@ -388,7 +395,7 @@ impl Device {
     /// timebase. When the tracer epoch is aligned on the device epoch the
     /// translation is the identity; otherwise it is still correct, just
     /// offset.
-    fn trace_read(&self, arrival_ns: u64, completion_ns: u64, bytes: u64, requests: u64) {
+    fn trace_read(&self, arrival_ns: u64, completion_ns: u64, bytes: u64) {
         let tracer = sembfs_obs::global();
         if !tracer.is_enabled() {
             return;
@@ -398,7 +405,7 @@ impl Device {
         tracer.span(
             start,
             end,
-            sembfs_obs::TraceEvent::NvmRead { bytes, requests },
+            sembfs_obs::TraceEvent::NvmRead { bytes, requests: 1 },
         );
     }
 
@@ -411,16 +418,56 @@ impl Device {
         self.epoch.elapsed().as_nanos() as u64
     }
 
-    /// Model (and, when throttled, wait out) a read request of `bytes`.
+    /// Model (and, when throttled, wait out) a read request of `bytes`:
+    /// [`Self::submit`] followed by [`Self::wait`].
     ///
     /// Returns the modeled completion time on the device clock.
     pub fn read_request(&self, bytes: u64) -> u64 {
+        let completion = self.submit(bytes);
+        self.wait(completion);
+        completion
+    }
+
+    /// Submit a read request of `bytes` without waiting for it, the way an
+    /// asynchronous (`libaio`-style) submission returns at once. The
+    /// request's service time is reserved on the FIFO timeline and its
+    /// statistics, wear and trace span are recorded exactly as for a
+    /// blocking read. Returns the modeled completion time on the device
+    /// clock; pass it to [`Self::wait`] before using the data.
+    pub fn submit(&self, bytes: u64) -> u64 {
         let arrival = self.now_ns();
         let service = self.worn_service_ns(bytes);
+        let (begin, end) = self.reserve(arrival, service);
+        // Requests already ahead of us, estimated as backlog over this
+        // request's own service time.
+        let queue_ahead = begin
+            .saturating_sub(arrival)
+            .checked_div(service)
+            .unwrap_or(0);
+        let latency_ns = self.profile.latency.as_nanos() as u64;
+        let completion = end.max(arrival + latency_ns);
+        let physical = self.profile.physical_bytes(bytes);
+        self.stats
+            .record(physical, arrival, completion, service, queue_ahead);
+        self.record_wear(physical);
+        self.trace_read(arrival, completion, physical);
+        completion
+    }
 
-        // Reserve `service` ns on the FIFO timeline.
+    /// Wait until the device clock reaches `completion_ns` (a value
+    /// returned by [`Self::submit`]): a real wait in
+    /// [`DelayMode::Throttled`], a no-op in [`DelayMode::Accounting`].
+    pub fn wait(&self, completion_ns: u64) {
+        if self.mode == DelayMode::Throttled {
+            self.wait_until(completion_ns);
+        }
+    }
+
+    /// Reserve `service` ns on the FIFO timeline for a request arriving at
+    /// `arrival`; returns the reserved `(begin, end)`.
+    fn reserve(&self, arrival: u64, service: u64) -> (u64, u64) {
         let mut prev = self.busy_until_ns.load(Ordering::Relaxed);
-        let (begin, end) = loop {
+        loop {
             let begin = prev.max(arrival);
             let end = begin + service;
             match self.busy_until_ns.compare_exchange_weak(
@@ -429,34 +476,10 @@ impl Device {
                 Ordering::Relaxed,
                 Ordering::Relaxed,
             ) {
-                Ok(_) => break (begin, end),
+                Ok(_) => return (begin, end),
                 Err(cur) => prev = cur,
             }
-        };
-        // Requests already ahead of us, estimated as backlog over this
-        // request's own service time.
-        let queue_ahead = begin
-            .saturating_sub(arrival)
-            .checked_div(service)
-            .unwrap_or(0);
-
-        let latency_ns = self.profile.latency.as_nanos() as u64;
-        let completion = end.max(arrival + latency_ns);
-
-        if self.mode == DelayMode::Throttled && completion > arrival {
-            self.wait_until(completion);
         }
-
-        self.stats.record(
-            self.profile.physical_bytes(bytes),
-            arrival,
-            completion,
-            service,
-            queue_ahead,
-        );
-        self.record_wear(self.profile.physical_bytes(bytes));
-        self.trace_read(arrival, completion, self.profile.physical_bytes(bytes), 1);
-        completion
     }
 
     /// Service time with the current wear-out multiplier applied.
@@ -482,25 +505,8 @@ impl Device {
     /// hiccup) and, when throttled, the caller waits them out. Returns
     /// the stall's end on the device clock.
     pub fn apply_stall(&self, stall: Duration) -> u64 {
-        let ns = stall.as_nanos() as u64;
-        let arrival = self.now_ns();
-        let mut prev = self.busy_until_ns.load(Ordering::Relaxed);
-        let end = loop {
-            let begin = prev.max(arrival);
-            let end = begin + ns;
-            match self.busy_until_ns.compare_exchange_weak(
-                prev,
-                end,
-                Ordering::Relaxed,
-                Ordering::Relaxed,
-            ) {
-                Ok(_) => break end,
-                Err(cur) => prev = cur,
-            }
-        };
-        if self.mode == DelayMode::Throttled && end > arrival {
-            self.wait_until(end);
-        }
+        let (_, end) = self.reserve(self.now_ns(), stall.as_nanos() as u64);
+        self.wait(end);
         end
     }
 
@@ -516,61 +522,19 @@ impl Device {
     }
 
     /// Model an **asynchronous batch submission** (the `libaio`-style
-    /// aggregation §VI-D suggests): all requests are queued at once and
-    /// the caller waits for the *last* completion instead of paying the
-    /// access latency once per request. Device occupancy (service time) is
-    /// unchanged — aggregation removes the per-request wait serialization,
-    /// not the device work. Returns the batch completion time.
+    /// aggregation §VI-D suggests): every request is [submitted](Self::submit)
+    /// at once and the caller waits for the *last* completion instead of
+    /// paying the access latency once per request. Device occupancy
+    /// (service time) is unchanged — aggregation removes the per-request
+    /// wait serialization, not the device work. Returns the batch
+    /// completion time.
     pub fn read_batch(&self, sizes: &[u64]) -> u64 {
-        if sizes.is_empty() {
-            return self.now_ns();
-        }
-        let arrival = self.now_ns();
-        let total_service: u64 = sizes.iter().map(|&b| self.worn_service_ns(b)).sum();
-
-        // Reserve the whole batch contiguously on the FIFO timeline.
-        let mut prev = self.busy_until_ns.load(Ordering::Relaxed);
-        let (begin, end) = loop {
-            let begin = prev.max(arrival);
-            let end = begin + total_service;
-            match self.busy_until_ns.compare_exchange_weak(
-                prev,
-                end,
-                Ordering::Relaxed,
-                Ordering::Relaxed,
-            ) {
-                Ok(_) => break (begin, end),
-                Err(cur) => prev = cur,
-            }
-        };
-        let latency_ns = self.profile.latency.as_nanos() as u64;
-        let completion = end.max(arrival + latency_ns);
-
-        if self.mode == DelayMode::Throttled && completion > arrival {
-            self.wait_until(completion);
-        }
-
-        // Record per-request statistics: each request's completion is its
-        // position on the timeline (so avgrq-sz/avgqu-sz stay meaningful),
-        // with the batch's shared arrival.
-        let mut cursor = begin;
-        let backlog = begin.saturating_sub(arrival);
-        for &bytes in sizes {
-            let service = self.worn_service_ns(bytes);
-            cursor += service;
-            let req_completion = cursor.max(arrival + latency_ns);
-            let queue_ahead = backlog.checked_div(service.max(1)).unwrap_or(0);
-            self.stats.record(
-                self.profile.physical_bytes(bytes),
-                arrival,
-                req_completion,
-                service,
-                queue_ahead,
-            );
-        }
-        let physical: u64 = sizes.iter().map(|&b| self.profile.physical_bytes(b)).sum();
-        self.record_wear(physical);
-        self.trace_read(arrival, completion, physical, sizes.len() as u64);
+        let completion = sizes
+            .iter()
+            .map(|&bytes| self.submit(bytes))
+            .max()
+            .unwrap_or_else(|| self.now_ns());
+        self.wait(completion);
         completion
     }
 

@@ -165,23 +165,6 @@ impl<R: ReadAt> ExtCsr<R> {
         reader: &ChunkedReader,
         batch: &mut NeighborBatch,
     ) -> Result<()> {
-        self.read_neighbors_batch_opts(vs, reader, batch, false)
-    }
-
-    /// [`read_neighbors_batch`](Self::read_neighbors_batch) with an
-    /// optional **coalesced prefetch**: when `prefetch` is set and the
-    /// batch's value spans are dense (the covering window is at most twice
-    /// the requested bytes), the whole window is handed to the value
-    /// store's [`ReadAt::prefetch`] before the span reads. A caching store
-    /// then loads the window as few large sequential device requests and
-    /// serves the spans from DRAM; for plain stores the hint is a no-op.
-    pub fn read_neighbors_batch_opts(
-        &self,
-        vs: &[u64],
-        reader: &ChunkedReader,
-        batch: &mut NeighborBatch,
-        prefetch: bool,
-    ) -> Result<()> {
         use crate::backend::BatchRead;
 
         batch.outs.resize_with(vs.len(), Vec::new);
@@ -243,24 +226,6 @@ impl<R: ReadAt> ExtCsr<R> {
             .iter()
             .map(|&(s, e)| (e - s) as usize * 4)
             .sum();
-        if prefetch && total_bytes > 0 {
-            let lo = batch
-                .ranges
-                .iter()
-                .map(|&(s, _)| s)
-                .min()
-                .expect("nonempty");
-            let hi = batch
-                .ranges
-                .iter()
-                .map(|&(_, e)| e)
-                .max()
-                .expect("nonempty");
-            let window = (hi - lo) as usize * 4;
-            if window <= total_bytes.saturating_mul(2) {
-                self.values.store().prefetch(lo * 4, window as u64)?;
-            }
-        }
         batch.bytes.clear();
         batch.bytes.resize(total_bytes, 0);
         {
@@ -290,6 +255,36 @@ impl<R: ReadAt> ExtCsr<R> {
             pos += len;
         }
         Ok(())
+    }
+
+    /// Start loading the index entries of `vs` ahead of their demand
+    /// reads ([`ReadAt::prefetch`]; a no-op with a DRAM index or on stores
+    /// that do not prefetch).
+    pub fn prefetch_index(&self, vs: impl IntoIterator<Item = u64>) {
+        if self.dram_index.is_some() || !self.index.store().prefetches() {
+            return;
+        }
+        for v in vs {
+            self.index.store().prefetch(self.index.byte_offset(v), 16);
+        }
+    }
+
+    /// Start loading the neighbor value spans of `vs` ahead of their
+    /// demand reads ([`ReadAt::prefetch`]). The spans' bounds are read
+    /// from the index, so this is best run once
+    /// [`prefetch_index`](Self::prefetch_index) has brought those entries
+    /// in. Best-effort:
+    /// a vertex whose index entries cannot be read is skipped, and stores
+    /// that do not prefetch cost no index reads at all.
+    pub fn prefetch_values(&self, vs: impl IntoIterator<Item = u64>) {
+        if !self.values.store().prefetches() {
+            return;
+        }
+        for v in vs {
+            if let Ok((start, end)) = self.neighbor_range(v) {
+                self.values.store().prefetch(start * 4, (end - start) * 4);
+            }
+        }
     }
 
     /// The underlying index array.

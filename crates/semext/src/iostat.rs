@@ -239,6 +239,9 @@ pub struct CacheSnapshot {
     /// Pages loaded ahead of demand (sequential readahead + explicit
     /// prefetch), not counted in `hits`/`misses`.
     pub readahead_pages: u64,
+    /// Pages loaded ahead of demand that were evicted before their first
+    /// demand hit: the wasted share of `readahead_pages`.
+    pub prefetch_unused: u64,
 }
 
 impl CacheSnapshot {
@@ -267,6 +270,7 @@ impl CacheSnapshot {
             misses: self.misses.saturating_sub(earlier.misses),
             evictions: self.evictions.saturating_sub(earlier.evictions),
             readahead_pages: self.readahead_pages.saturating_sub(earlier.readahead_pages),
+            prefetch_unused: self.prefetch_unused.saturating_sub(earlier.prefetch_unused),
         }
     }
 }
@@ -351,6 +355,7 @@ mod tests {
             misses: 4,
             evictions: 2,
             readahead_pages: 1,
+            prefetch_unused: 1,
         };
         let c_behind = CacheSnapshot { hits: 9, ..c_ahead };
         let cd = c_behind.delta(&c_ahead);

@@ -16,11 +16,24 @@
 //! consecutive-page runs (charged to the device through the store's
 //! [`ChunkedReader`] merge limit, like the kernel's plugged request
 //! queue), and sequential access patterns trigger readahead of the
-//! following pages. In-flight pages are *pinned*: a concurrent reader that
-//! races a fill simply falls through to the backend instead of blocking,
-//! and CLOCK never evicts a page that is still being filled.
+//! following pages.
+//!
+//! A page being filled is *pinned* between its reservation and the moment
+//! its bytes are published: a concurrent reader that races the fill
+//! simply falls through to the backend instead of blocking, and CLOCK
+//! never evicts a pinned page. Every published page also carries the
+//! device-clock time its data is *ready*. Demand misses and readahead
+//! wait for their device reads before publishing, so their pages are
+//! ready at once. [`ShardedCachedStore`]'s [`ReadAt::prefetch`] is
+//! asynchronous instead: it reads and verifies the pages, submits their
+//! device requests without waiting ([`Device::submit`]), and publishes
+//! them *in flight*, ready at the requests' completion. A demand read that
+//! hits an in-flight page waits until its ready time ([`Device::wait`]),
+//! so no byte is served earlier than the modeled device could deliver it,
+//! while one caller keeps many requests in flight.
 
 use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 
@@ -39,6 +52,35 @@ use crate::iostat::CacheSnapshot;
 /// meaningful share of the working set.
 pub const DEFAULT_SHARDS: usize = 8;
 
+/// Hasher of `(file, page)` keys: one multiply per word (the rustc `Fx`
+/// scheme) instead of SipHash, whose flood resistance page numbers do not
+/// need and whose cost every cache probe would pay.
+#[derive(Debug, Default, Clone, Copy)]
+struct PageKeyHasher(u64);
+
+impl Hasher for PageKeyHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u64(b as u64);
+        }
+    }
+
+    fn write_u32(&mut self, n: u32) {
+        self.write_u64(n as u64);
+    }
+
+    fn write_u64(&mut self, n: u64) {
+        self.0 = (self.0.rotate_left(5) ^ n).wrapping_mul(0x51_7c_c1_b7_27_22_0a_95);
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
+/// `(file, page)` → slot index.
+type PageMap = HashMap<(u32, u64), usize, BuildHasherDefault<PageKeyHasher>>;
+
 /// One cached page.
 #[derive(Debug)]
 struct Slot {
@@ -49,14 +91,21 @@ struct Slot {
     pinned: bool,
     /// Holds valid data (lookups only hit filled slots).
     filled: bool,
+    /// Device-clock time the data is ready (0: ready now).
+    ready_ns: u64,
+    /// Loaded ahead of demand and not yet hit by a demand read.
+    unused_ahead: bool,
     data: Box<[u8]>,
 }
 
-/// One lock stripe: an independent CLOCK ring over its own slots.
+/// One lock stripe: an independent CLOCK ring over its own slots. Aligned
+/// to its own cache lines, so workers probing different shards never
+/// write to a shared line.
 #[derive(Debug)]
+#[repr(align(128))]
 struct ClockShard {
     /// `(file, page)` → slot index.
-    map: HashMap<(u32, u64), usize>,
+    map: PageMap,
     slots: Vec<Slot>,
     hand: usize,
     /// Slots this shard may hold (its share of the cache budget).
@@ -65,9 +114,10 @@ struct ClockShard {
 
 impl ClockShard {
     /// Claim a slot for `key`, evicting via CLOCK when full. Returns the
-    /// slot index and whether a filled page was displaced; `None` when
-    /// every slot is pinned.
-    fn claim(&mut self, key: (u32, u64)) -> Option<(usize, bool)> {
+    /// slot index and, when a filled page was displaced, whether it was a
+    /// page loaded ahead of demand that no demand read ever hit; `None`
+    /// when every slot is pinned.
+    fn claim(&mut self, key: (u32, u64)) -> Option<(usize, Option<bool>)> {
         if self.slots.len() < self.capacity {
             let slot = self.slots.len();
             self.slots.push(Slot {
@@ -75,10 +125,12 @@ impl ClockShard {
                 referenced: false,
                 pinned: true,
                 filled: false,
+                ready_ns: 0,
+                unused_ahead: false,
                 data: vec![0u8; PAGE_BYTES as usize].into_boxed_slice(),
             });
             self.map.insert(key, slot);
-            return Some((slot, false));
+            return Some((slot, None));
         }
         // CLOCK sweep: two full passes clear every reference bit, so a
         // victim is found unless all slots are pinned.
@@ -97,27 +149,30 @@ impl ClockShard {
                 slot.referenced = false;
                 continue;
             }
-            let evicted_filled = slot.filled;
+            let evicted = slot.filled.then_some(slot.unused_ahead);
             self.map.remove(&slot.key);
             slot.key = key;
             slot.referenced = false;
             slot.pinned = true;
             slot.filled = false;
+            slot.unused_ahead = false;
             self.map.insert(key, hand);
-            return Some((hand, evicted_filled));
+            return Some((hand, evicted));
         }
         None
     }
 }
 
 /// Per-shard counters, kept outside the mutex so statistics never extend
-/// the critical section.
+/// the critical section (and, like the shards, on lines of their own).
 #[derive(Debug, Default)]
+#[repr(align(128))]
 struct ShardStats {
     hits: AtomicU64,
     misses: AtomicU64,
     evictions: AtomicU64,
     readahead: AtomicU64,
+    prefetch_unused: AtomicU64,
 }
 
 impl ShardStats {
@@ -127,6 +182,15 @@ impl ShardStats {
             misses: self.misses.load(Ordering::Relaxed),
             evictions: self.evictions.load(Ordering::Relaxed),
             readahead_pages: self.readahead.load(Ordering::Relaxed),
+            prefetch_unused: self.prefetch_unused.load(Ordering::Relaxed),
+        }
+    }
+
+    /// Count one displaced filled page (see [`ClockShard::claim`]).
+    fn note_eviction(&self, unused_ahead: bool) {
+        self.evictions.fetch_add(1, Ordering::Relaxed);
+        if unused_ahead {
+            self.prefetch_unused.fetch_add(1, Ordering::Relaxed);
         }
     }
 }
@@ -140,11 +204,12 @@ impl ShardStats {
 /// let cache = ShardedPageCache::with_shards(8 * PAGE_BYTES, 4);
 /// let file = cache.register_file();
 /// let mut buf = [0u8; 4];
-/// assert!(!cache.copy_page(file, 3, 0, &mut buf)); // cold miss
+/// assert_eq!(cache.copy_page(file, 3, 0, &mut buf), None); // cold miss
 /// if let Some(pin) = cache.reserve(file, 3) {
 ///     pin.fill(&[7u8; 16]); // short fills are zero-padded
 /// }
-/// assert!(cache.copy_page(file, 3, 0, &mut buf)); // warm hit, data served
+/// // Warm hit: data served, ready at once.
+/// assert_eq!(cache.copy_page(file, 3, 0, &mut buf), Some(0));
 /// assert_eq!(buf, [7u8; 4]);
 /// assert_eq!(cache.stats(), (1, 1));
 /// ```
@@ -175,7 +240,7 @@ impl ShardedPageCache {
             shards: (0..shards)
                 .map(|_| {
                     Mutex::new(ClockShard {
-                        map: HashMap::new(),
+                        map: PageMap::default(),
                         slots: Vec::new(),
                         hand: 0,
                         capacity: 0,
@@ -210,7 +275,7 @@ impl ShardedPageCache {
                         let s = shard.slots.pop().expect("nonempty");
                         shard.map.remove(&s.key);
                         if s.filled {
-                            self.stats[i].evictions.fetch_add(1, Ordering::Relaxed);
+                            self.stats[i].note_eviction(s.unused_ahead);
                         }
                     }
                     _ => break,
@@ -269,9 +334,18 @@ impl ShardedPageCache {
 
     /// Demand lookup of `(file, page)`: on a hit, copy
     /// `page[page_offset .. page_offset + dst.len()]` into `dst`, mark the
-    /// page referenced, and return `true`. On a miss (absent or still
-    /// being filled) return `false` — the caller reads the backend.
-    pub fn copy_page(&self, file: u32, page: u64, page_offset: usize, dst: &mut [u8]) -> bool {
+    /// page referenced, and return the device-clock time its data is
+    /// ready (0 unless it was prefetched and may still be in flight; the
+    /// caller must not use the bytes before then). On a miss (absent or
+    /// still pinned by a fill) return `None` — the caller reads the
+    /// backend.
+    pub fn copy_page(
+        &self,
+        file: u32,
+        page: u64,
+        page_offset: usize,
+        dst: &mut [u8],
+    ) -> Option<u64> {
         debug_assert!(page_offset + dst.len() <= PAGE_BYTES as usize);
         let si = self.shard_of(file, page);
         {
@@ -280,15 +354,21 @@ impl ShardedPageCache {
                 let s = &mut shard.slots[slot];
                 if s.filled {
                     dst.copy_from_slice(&s.data[page_offset..page_offset + dst.len()]);
-                    s.referenced = true;
+                    // Write only on change: hot pages are probed by every
+                    // worker, and a store would bounce their line.
+                    if !s.referenced || s.unused_ahead {
+                        s.referenced = true;
+                        s.unused_ahead = false;
+                    }
+                    let ready = s.ready_ns;
                     drop(shard);
                     self.stats[si].hits.fetch_add(1, Ordering::Relaxed);
-                    return true;
+                    return Some(ready);
                 }
             }
         }
         self.stats[si].misses.fetch_add(1, Ordering::Relaxed);
-        false
+        None
     }
 
     /// Reserve a pinned slot for `(file, page)` ahead of a fill.
@@ -305,8 +385,8 @@ impl ShardedPageCache {
         }
         let (slot, evicted) = shard.claim((file, page))?;
         drop(shard);
-        if evicted {
-            self.stats[si].evictions.fetch_add(1, Ordering::Relaxed);
+        if let Some(unused_ahead) = evicted {
+            self.stats[si].note_eviction(unused_ahead);
             sembfs_obs::global().instant(sembfs_obs::TraceEvent::CacheEvict { pages: 1 });
         }
         Some(PagePin {
@@ -346,6 +426,7 @@ impl ShardedPageCache {
             total.misses += s.misses;
             total.evictions += s.evictions;
             total.readahead_pages += s.readahead_pages;
+            total.prefetch_unused += s.prefetch_unused;
         }
         total
     }
@@ -370,6 +451,11 @@ impl ShardedPageCache {
                     "sembfs_cache_readahead_pages_total",
                     labels,
                     snap.readahead_pages as f64,
+                ),
+                Metric::counter(
+                    "sembfs_cache_prefetch_unused_total",
+                    labels,
+                    snap.prefetch_unused as f64,
                 ),
                 Metric::gauge("sembfs_cache_hit_rate", labels, snap.hit_rate()),
                 Metric::gauge(
@@ -412,8 +498,14 @@ pub struct PagePin<'a> {
 
 impl PagePin<'_> {
     /// Publish `data` as the page's contents (short fills — the file's
-    /// last page — are zero-padded) and unpin the slot.
-    pub fn fill(mut self, data: &[u8]) {
+    /// last page — are zero-padded), ready at once, and unpin the slot.
+    pub fn fill(self, data: &[u8]) {
+        self.publish(data, 0, false);
+    }
+
+    /// [`fill`](Self::fill) with the device-clock time the data is ready
+    /// and whether the page was loaded ahead of demand.
+    fn publish(mut self, data: &[u8], ready_ns: u64, ahead: bool) {
         debug_assert!(data.len() <= PAGE_BYTES as usize);
         let mut shard = self.cache.shards[self.shard].lock();
         let s = &mut shard.slots[self.slot];
@@ -423,6 +515,8 @@ impl PagePin<'_> {
         s.filled = true;
         s.pinned = false;
         s.referenced = true;
+        s.ready_ns = ready_ns;
+        s.unused_ahead = ahead;
         self.filled = true;
         drop(shard);
         sembfs_obs::global().instant(sembfs_obs::TraceEvent::CacheFill { pages: 1 });
@@ -524,66 +618,77 @@ impl<B: ReadAt> ShardedCachedStore<B> {
     /// warm.
     pub fn warm(&self) -> Result<()> {
         let pages = self.backend.len().div_ceil(PAGE_BYTES);
-        self.load_pages(0, pages, false, false)
+        self.load_pages(0, pages, Load::Warm)
     }
 
-    /// Charge the device for a `bytes`-long backend read, split at the
-    /// reader's merge limit (§V-B1's chunking: the device sees one request
-    /// per merged span, never an unbounded transfer).
-    fn charge(&self, mut bytes: u64) {
+    /// The device's fault state, when a read fault can fire.
+    fn active_faults(&self) -> Option<&Arc<fault::FaultState>> {
+        self.device.faults().filter(|f| f.plan().has_read_faults())
+    }
+
+    /// Submit a `bytes`-long backend read to the device without waiting,
+    /// split at the reader's merge limit (§V-B1's chunking: the device
+    /// sees one request per merged span, never an unbounded transfer).
+    /// Returns the last request's completion time.
+    fn submit(&self, bytes: u64) -> u64 {
         let merge = self.reader.merge_limit() as u64;
-        if self.reader.merge_limit() == usize::MAX {
-            self.device.read_request(bytes);
-            return;
+        let mut completion = 0;
+        let mut rest = bytes;
+        while rest > 0 {
+            let take = rest.min(merge);
+            completion = completion.max(self.device.submit(take));
+            rest -= take;
         }
-        while bytes > 0 {
-            let take = bytes.min(merge);
-            self.device.read_request(take);
-            bytes -= take;
-        }
+        completion
     }
 
     /// Read the page-aligned span starting at `span_start` from the
-    /// backend into `scratch`, charging the device when `charge` is set
-    /// and verifying sealed checksums when integrity is attached.
+    /// backend into `scratch` and verify it against the sealed checksums,
+    /// when attached. Returns the device-clock time the bytes are ready:
+    /// 0 except for [`Load::Ahead`].
     ///
-    /// Charged reads on a device with active fault rates go through the
-    /// resilient path ([`fault::faulted_read`]): faults are drawn,
+    /// [`Load::Sync`] reads on a device with active fault rates go through
+    /// the resilient path ([`fault::faulted_read`]): faults are drawn,
     /// verified-bad attempts retry under backoff, and exhaustion surfaces
-    /// typed errors. Charge-free reads ([`Self::warm`]) model pages left
-    /// behind in DRAM by the offload writer — no device access, no
-    /// faults — but are still verified.
-    fn read_span(&self, span_start: u64, scratch: &mut [u8], charge: bool) -> Result<()> {
-        if charge {
-            if let Some(state) = self.device.faults().filter(|f| f.plan().has_read_faults()) {
+    /// typed errors. [`Load::Ahead`] never runs under such a plan (see
+    /// [`ReadAt::prefetch`]) and submits only spans that verified.
+    fn read_span(&self, span_start: u64, scratch: &mut [u8], load: Load) -> Result<u64> {
+        if load == Load::Sync {
+            if let Some(state) = self.active_faults() {
                 // The fault path charges the device once per attempt; the
                 // merge-limit split does not apply to retried reads.
-                return fault::faulted_read(
+                fault::faulted_read(
                     &self.backend,
                     &self.device,
                     self.integrity.as_deref(),
                     state,
                     span_start,
                     scratch,
-                );
+                )?;
+                return Ok(0);
             }
         }
         self.backend.read_at(span_start, scratch)?;
-        if charge {
-            self.charge(scratch.len() as u64);
+        if load == Load::Sync {
+            self.device.wait(self.submit(scratch.len() as u64));
         }
         if let Some(integrity) = &self.integrity {
             integrity.verify_span(span_start / PAGE_BYTES, scratch)?;
         }
-        Ok(())
+        Ok(match load {
+            Load::Ahead => self.submit(scratch.len() as u64),
+            Load::Warm | Load::Sync => 0,
+        })
     }
 
     /// Load pages `[first, last_excl)` that are not yet cached, reading
-    /// the backend in contiguous reserved runs. `charge` meters the device;
-    /// `readahead` counts the loads in the readahead statistic.
-    fn load_pages(&self, first: u64, last_excl: u64, charge: bool, readahead: bool) -> Result<()> {
+    /// the backend in contiguous reserved runs. Loads other than
+    /// [`Load::Warm`] count in the readahead statistic. A run that fails
+    /// drops its pins, leaving its pages uncached.
+    fn load_pages(&self, first: u64, last_excl: u64, load: Load) -> Result<()> {
         let size = self.backend.len();
         let last_excl = last_excl.min(size.div_ceil(PAGE_BYTES));
+        let ahead = load != Load::Warm;
         let mut page = first;
         while page < last_excl {
             let run_start = page;
@@ -605,15 +710,15 @@ impl<B: ReadAt> ShardedCachedStore<B> {
             let span_end = (run_start + pins.len() as u64) * PAGE_BYTES;
             let span_end = span_end.min(size);
             let mut scratch = vec![0u8; (span_end - span_start) as usize];
-            self.read_span(span_start, &mut scratch, charge)?;
-            if readahead {
+            let ready = self.read_span(span_start, &mut scratch, load)?;
+            if ahead {
                 self.cache
                     .note_readahead(self.file_id, run_start, pins.len() as u64);
             }
             for (i, pin) in pins.into_iter().enumerate() {
                 let off = i * PAGE_BYTES as usize;
                 let end = scratch.len().min(off + PAGE_BYTES as usize);
-                pin.fill(&scratch[off..end]);
+                pin.publish(&scratch[off..end], ready, ahead);
             }
         }
         Ok(())
@@ -633,7 +738,7 @@ impl<B: ReadAt> ShardedCachedStore<B> {
         let span_start = run_start * PAGE_BYTES;
         let span_end = (run_end_excl * PAGE_BYTES).min(size);
         let mut scratch = vec![0u8; (span_end - span_start) as usize];
-        self.read_span(span_start, &mut scratch, true)?;
+        self.read_span(span_start, &mut scratch, Load::Sync)?;
 
         let copy_start = offset.max(span_start);
         let copy_end = (offset + buf.len() as u64).min(span_end);
@@ -650,6 +755,18 @@ impl<B: ReadAt> ShardedCachedStore<B> {
         }
         Ok(())
     }
+}
+
+/// How [`ShardedCachedStore::load_pages`] reads its pages.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Load {
+    /// Pages the offload writer left in DRAM: no device access.
+    Warm,
+    /// Blocking device reads (demand misses, sequential readahead).
+    Sync,
+    /// Asynchronous prefetch: submitted without waiting, published in
+    /// flight.
+    Ahead,
 }
 
 impl<B: ReadAt> ReadAt for ShardedCachedStore<B> {
@@ -669,32 +786,41 @@ impl<B: ReadAt> ReadAt for ShardedCachedStore<B> {
         let first = offset / PAGE_BYTES;
         let last = (offset + buf.len() as u64 - 1) / PAGE_BYTES;
         let mut run_start: Option<u64> = None;
+        // Latest ready time of the in-flight pages this read hit.
+        let mut ready = 0;
         for page in first..=last {
             let page_start = page * PAGE_BYTES;
             let s = offset.max(page_start);
             let e = (offset + buf.len() as u64).min(page_start + PAGE_BYTES);
             let dst = &mut buf[(s - offset) as usize..(e - offset) as usize];
-            if self
+            match self
                 .cache
                 .copy_page(self.file_id, page, (s - page_start) as usize, dst)
             {
-                if let Some(rs) = run_start.take() {
-                    self.service_miss_run(rs, page, offset, buf)?;
+                Some(page_ready) => {
+                    ready = ready.max(page_ready);
+                    if let Some(rs) = run_start.take() {
+                        self.service_miss_run(rs, page, offset, buf)?;
+                    }
                 }
-            } else if run_start.is_none() {
-                run_start = Some(page);
+                None => {
+                    run_start.get_or_insert(page);
+                }
             }
         }
         if let Some(rs) = run_start.take() {
             self.service_miss_run(rs, last + 1, offset, buf)?;
         }
+        self.device.wait(ready);
 
         // Sequential readahead: a read continuing exactly where the
         // previous one ended pulls the next window in ahead of demand.
-        let prev_end = self.last_end_page.swap(last + 1, Ordering::Relaxed);
+        // The detector is only fed while readahead is on: a store-wide
+        // atomic written by every read would bounce between the workers'
+        // cores.
         let ra = self.cache.readahead_pages() as u64;
-        if ra > 0 && prev_end == first {
-            self.load_pages(last + 1, last + 1 + ra, true, true)?;
+        if ra > 0 && self.last_end_page.swap(last + 1, Ordering::Relaxed) == first {
+            self.load_pages(last + 1, last + 1 + ra, Load::Sync)?;
         }
         Ok(())
     }
@@ -703,15 +829,21 @@ impl<B: ReadAt> ReadAt for ShardedCachedStore<B> {
         self.backend.len()
     }
 
-    fn prefetch(&self, offset: u64, len: u64) -> Result<()> {
+    fn prefetches(&self) -> bool {
+        self.active_faults().is_none()
+    }
+
+    fn prefetch(&self, offset: u64, len: u64) {
         let size = self.backend.len();
-        if len == 0 || offset >= size {
-            return Ok(());
+        if !self.prefetches() || len == 0 || offset >= size {
+            return;
         }
         let first = offset / PAGE_BYTES;
         let end = offset.saturating_add(len).min(size);
         let last_excl = end.div_ceil(PAGE_BYTES);
-        self.load_pages(first, last_excl, true, true)
+        // A prefetch never fails its caller: pages it could not read or
+        // verify stay uncached, and the demand read reports the error.
+        let _ = self.load_pages(first, last_excl, Load::Ahead);
     }
 }
 
@@ -736,9 +868,9 @@ mod tests {
         let cache = ShardedPageCache::with_shards(8 * PAGE_BYTES, 4);
         let f = cache.register_file();
         let mut buf = [0u8; 8];
-        assert!(!cache.copy_page(f, 5, 16, &mut buf));
+        assert!(cache.copy_page(f, 5, 16, &mut buf).is_none());
         cache.reserve(f, 5).unwrap().fill(&patterned(1));
-        assert!(cache.copy_page(f, 5, 16, &mut buf));
+        assert!(cache.copy_page(f, 5, 16, &mut buf).is_some());
         assert_eq!(&buf[..], &patterned(1)[16..24]);
         assert_eq!(cache.stats(), (1, 1));
         assert!((cache.hit_rate() - 0.5).abs() < 1e-12);
@@ -787,6 +919,7 @@ mod tests {
                 misses: a.misses + s.misses,
                 evictions: a.evictions + s.evictions,
                 readahead_pages: a.readahead_pages + s.readahead_pages,
+                prefetch_unused: a.prefetch_unused + s.prefetch_unused,
             });
         assert_eq!(prev, sum, "aggregate must equal per-shard sum");
         assert!(prev.hits > 0 && prev.misses > 0 && prev.evictions > 0);
@@ -800,8 +933,11 @@ mod tests {
         let b = cache.register_file();
         cache.reserve(a, 0).unwrap().fill(&[1u8; 8]);
         let mut buf = [0u8; 1];
-        assert!(cache.copy_page(a, 0, 0, &mut buf));
-        assert!(!cache.copy_page(b, 0, 0, &mut buf), "different namespace");
+        assert!(cache.copy_page(a, 0, 0, &mut buf).is_some());
+        assert!(
+            cache.copy_page(b, 0, 0, &mut buf).is_none(),
+            "different namespace"
+        );
     }
 
     #[test]
@@ -812,7 +948,7 @@ mod tests {
         assert!(cache.reserve(f, 7).is_none(), "in-flight page is exclusive");
         let mut buf = [0u8; 1];
         assert!(
-            !cache.copy_page(f, 7, 0, &mut buf),
+            cache.copy_page(f, 7, 0, &mut buf).is_none(),
             "unfilled page never hits"
         );
         drop(pin); // abandoned: slot released
@@ -827,7 +963,7 @@ mod tests {
         cache.reserve(f, 2).unwrap().fill(&[2]);
         // Keep 1 hot.
         let mut buf = [0u8; 1];
-        assert!(cache.copy_page(f, 1, 0, &mut buf));
+        assert!(cache.copy_page(f, 1, 0, &mut buf).is_some());
         cache.reserve(f, 3).unwrap().fill(&[3]);
         cache.reserve(f, 4).unwrap().fill(&[4]);
         let snap = cache.snapshot();
@@ -848,7 +984,7 @@ mod tests {
         pin.fill(&[0]);
         pin2.fill(&[2]);
         let mut buf = [0u8; 1];
-        assert!(cache.copy_page(f, 0, 0, &mut buf));
+        assert!(cache.copy_page(f, 0, 0, &mut buf).is_some());
         assert_eq!(buf, [0]);
     }
 
@@ -1030,7 +1166,7 @@ mod tests {
             device.clone(),
             cache.clone(),
         );
-        store.prefetch(2 * PAGE_BYTES, 4 * PAGE_BYTES).unwrap();
+        store.prefetch(2 * PAGE_BYTES, 4 * PAGE_BYTES);
         assert_eq!(cache.snapshot().readahead_pages, 4);
         assert!(device.snapshot().requests > 0, "prefetch pays the device");
         let before = device.snapshot().requests;
@@ -1042,8 +1178,163 @@ mod tests {
         );
         assert_eq!(device.snapshot().requests, before, "demand read is free");
         // Past-EOF prefetches are clipped, not errors.
-        store.prefetch(15 * PAGE_BYTES, 64 * PAGE_BYTES).unwrap();
-        store.prefetch(1 << 40, 8).unwrap();
+        store.prefetch(15 * PAGE_BYTES, 64 * PAGE_BYTES);
+        store.prefetch(1 << 40, 8);
+    }
+
+    #[test]
+    fn demand_read_waits_for_an_in_flight_prefetch() {
+        use std::time::{Duration, Instant};
+        let latency = Duration::from_millis(50);
+        let profile = DeviceProfile {
+            latency,
+            ..DeviceProfile::iodrive2()
+        };
+        let device = Device::new(profile, DelayMode::Throttled);
+        let data = patterned(4);
+        let cache = ShardedPageCache::with_shards(8 * PAGE_BYTES, 2);
+        let store = ShardedCachedStore::new(DramBackend::new(data.clone()), device.clone(), cache);
+        let mut buf = vec![0u8; 64];
+
+        // Before its completion: the prefetch returns at once, and the
+        // demand read blocks until the device could have delivered.
+        let t0 = Instant::now();
+        store.prefetch(0, PAGE_BYTES);
+        assert!(t0.elapsed() < latency, "prefetch must not wait");
+        store.read_at(100, &mut buf).unwrap();
+        assert!(
+            t0.elapsed() >= latency,
+            "served before the device delivered"
+        );
+        assert_eq!(&buf[..], &data[100..164]);
+
+        // After its completion: the demand read does not block.
+        store.prefetch(PAGE_BYTES, PAGE_BYTES);
+        std::thread::sleep(latency + Duration::from_millis(5));
+        let t1 = Instant::now();
+        store.read_at(PAGE_BYTES + 100, &mut buf).unwrap();
+        assert!(
+            t1.elapsed() < latency,
+            "a completed prefetch is a plain hit"
+        );
+        assert_eq!(device.snapshot().requests, 2, "demand hits charge nothing");
+    }
+
+    #[test]
+    fn accounting_reads_never_wait_for_prefetches() {
+        use std::time::{Duration, Instant};
+        let profile = DeviceProfile {
+            latency: Duration::from_secs(10),
+            ..DeviceProfile::iodrive2()
+        };
+        let device = Device::new(profile, DelayMode::Accounting);
+        let data = patterned(8);
+        let cache = ShardedPageCache::with_shards(32 * PAGE_BYTES, 2);
+        let store = ShardedCachedStore::new(DramBackend::new(data.clone()), device.clone(), cache);
+        let t0 = Instant::now();
+        store.prefetch(0, 8 * PAGE_BYTES);
+        let mut buf = vec![0u8; data.len()];
+        store.read_at(0, &mut buf).unwrap();
+        assert!(t0.elapsed() < Duration::from_secs(1));
+        assert_eq!(buf, data);
+        assert_eq!(
+            device.snapshot().requests,
+            2,
+            "32 KiB at a 16 KiB merge limit"
+        );
+    }
+
+    #[test]
+    fn prefetch_of_a_torn_page_admits_nothing() {
+        let good = patterned(8);
+        let integrity = Arc::new(PageIntegrity::seal_bytes(&good));
+        let mut torn = good.clone();
+        torn[3 * PAGE_BYTES as usize + 7] ^= 0x80;
+        let device = dev();
+        let cache = ShardedPageCache::with_shards(16 * PAGE_BYTES, 4);
+        let store = ShardedCachedStore::new(DramBackend::new(torn), device.clone(), cache.clone())
+            .with_integrity(integrity);
+
+        store.prefetch(2 * PAGE_BYTES, 3 * PAGE_BYTES);
+        assert_eq!(cache.resident_pages(), 0, "the failed run admits nothing");
+        assert_eq!(cache.snapshot().readahead_pages, 0);
+        assert_eq!(
+            device.snapshot().requests,
+            0,
+            "an unverified span is never submitted"
+        );
+        let mut buf = vec![0u8; 16];
+        match store.read_at(3 * PAGE_BYTES, &mut buf) {
+            Err(crate::Error::ChecksumMismatch { page: 3, .. }) => {}
+            other => panic!("expected ChecksumMismatch on page 3, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn prefetch_of_cached_or_in_flight_pages_is_free() {
+        let device = dev();
+        let cache = ShardedPageCache::with_shards(16 * PAGE_BYTES, 4);
+        let store = ShardedCachedStore::new(
+            DramBackend::new(patterned(8)),
+            device.clone(),
+            cache.clone(),
+        );
+        store.prefetch(0, 4 * PAGE_BYTES);
+        assert_eq!(device.snapshot().requests, 1, "one merged 16 KiB request");
+        // In flight (Accounting completions lie in the modeled future).
+        store.prefetch(0, 4 * PAGE_BYTES);
+        let mut buf = vec![0u8; 8];
+        store.read_at(0, &mut buf).unwrap();
+        // Cached and already hit.
+        store.prefetch(PAGE_BYTES / 2, PAGE_BYTES);
+        assert_eq!(device.snapshot().requests, 1);
+        let snap = cache.snapshot();
+        assert_eq!(snap.readahead_pages, 4);
+        assert_eq!((snap.hits, snap.misses), (1, 0), "prefetch is not demand");
+    }
+
+    #[test]
+    fn prefetched_pages_evicted_before_any_hit_count_as_unused() {
+        let cache = ShardedPageCache::with_shards(2 * PAGE_BYTES, 1);
+        let store = ShardedCachedStore::new(DramBackend::new(patterned(8)), dev(), cache.clone());
+        store.prefetch(0, 2 * PAGE_BYTES);
+        let mut buf = vec![0u8; 8];
+        store.read_at(0, &mut buf).unwrap(); // page 0 used, page 1 not
+        store.prefetch(2 * PAGE_BYTES, 2 * PAGE_BYTES); // displaces both
+        let snap = cache.snapshot();
+        assert_eq!(snap.evictions, 2);
+        assert_eq!(snap.prefetch_unused, 1);
+        let registry = sembfs_obs::MetricsRegistry::new();
+        cache.register_metrics(&registry);
+        assert!(
+            registry
+                .prometheus_text()
+                .contains("sembfs_cache_prefetch_unused_total 1"),
+            "{}",
+            registry.prometheus_text()
+        );
+    }
+
+    #[test]
+    fn prefetch_is_off_under_read_faults() {
+        use crate::fault::{FaultPlan, FaultSnapshot};
+        let plan = FaultPlan::parse("seed=3,eio=0.5").unwrap();
+        let device =
+            Device::with_fault_plan(DeviceProfile::iodrive2(), DelayMode::Accounting, plan);
+        let cache = ShardedPageCache::with_shards(16 * PAGE_BYTES, 4);
+        let store = ShardedCachedStore::new(
+            DramBackend::new(patterned(8)),
+            device.clone(),
+            cache.clone(),
+        );
+        assert!(!store.prefetches());
+        store.prefetch(0, 8 * PAGE_BYTES);
+        assert_eq!(cache.resident_pages(), 0);
+        assert_eq!(device.snapshot().requests, 0);
+        assert_eq!(
+            device.faults().unwrap().snapshot(),
+            FaultSnapshot::default()
+        );
     }
 
     #[test]

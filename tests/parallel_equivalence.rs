@@ -2,9 +2,11 @@
 //!
 //! Runs the serial canonical `reference_bfs` against the 1/2/4/8-thread
 //! hybrid across every storage layout (all-DRAM, external forward graph,
-//! cold-tail backward offload) × device profiles × a recoverable
-//! `FaultPlan`, asserting the parent trees are *bit-identical* — not just
-//! level-equivalent — and that the `ValidationReport`s agree. The
+//! the same behind a page cache a quarter of its size, cold-tail backward
+//! offload) × device profiles × a recoverable `FaultPlan`, under the
+//! scenario's best policy and top-down at every level, asserting the
+//! parent trees are *bit-identical* — not just level-equivalent — and
+//! that the `ValidationReport`s agree. The
 //! min-parent claim top-down and the first hit on sorted adjacency
 //! bottom-up make the tree a pure function of the graph, so any
 //! divergence is a kernel bug, not an acceptable alternative tree.
@@ -27,17 +29,30 @@ fn recoverable_plan() -> FaultPlan {
         .expect("valid fault spec")
 }
 
-/// The three storage layouts of the ISSUE. `k = 4` puts a meaningful
+/// The storage layouts for `edges`. The cached layout's page cache holds
+/// about a quarter of the forward graph, so CLOCK evicts (prefetched pages
+/// too) in the middle of a top-down level. `k = 4` puts a meaningful
 /// share of backward edges on the device for a Kronecker graph (hubs far
 /// exceed degree 4) while the hot prefix stays in DRAM.
-fn layouts() -> Vec<(&'static str, Scenario, ScenarioOptions)> {
+fn layouts(edges: &MemEdgeList) -> Vec<(&'static str, Scenario, ScenarioOptions)> {
     let base = ScenarioOptions {
         topology: Topology::new(2, 2),
         ..Default::default()
     };
+    let csr = build_csr(edges, BuildOptions::default()).unwrap();
+    let domains = base.topology.domains() as u64;
+    let forward_bytes = csr.num_values() * 4 + domains * (csr.num_vertices() + 1) * 8;
     vec![
         ("dram", Scenario::DramOnly, base.clone()),
         ("external-forward", Scenario::DramPcieFlash, base.clone()),
+        (
+            "cached-external-forward",
+            Scenario::DramPcieFlash,
+            ScenarioOptions {
+                page_cache_bytes: Some(forward_bytes / 4),
+                ..base.clone()
+            },
+        ),
         (
             "cold-tail",
             Scenario::DramPcieFlash,
@@ -65,29 +80,46 @@ fn assert_all_threads_match(
 ) {
     let data = ScenarioData::build(edges, scenario, opts.clone()).unwrap();
     let roots = select_roots(data.csr().num_vertices(), 2, 7, |v| data.degree(v));
-    let policy = scenario.best_policy();
+    // The best flash policy leaves the forward graph after the root level;
+    // top-down at every level reads it (and its cache) throughout.
+    let best = scenario.best_policy();
+    let top_down = FixedPolicy(Direction::TopDown);
+    let policies: [&dyn DirectionPolicy; 2] = [&best, &top_down];
     for &root in &roots {
         let (want_parent, want_report) = oracle(edges, root);
-        for threads in THREADS {
-            let cfg = BfsConfig::paper().with_threads(threads);
-            let run = data.run(root, &policy, &cfg).unwrap();
-            assert_eq!(
-                run.parent, want_parent,
-                "{label} root {root} threads {threads}: parent tree diverged"
-            );
-            let report = validate_bfs_tree(&run.parent, root, edges).unwrap();
-            assert_eq!(
-                report, want_report,
-                "{label} root {root} threads {threads}: validation report diverged"
-            );
+        for policy in policies {
+            for threads in THREADS {
+                let cfg = BfsConfig::paper().with_threads(threads);
+                let run = data.run(root, policy, &cfg).unwrap();
+                let case = format!("{label} root {root} {} threads {threads}", policy.label());
+                assert_eq!(run.parent, want_parent, "{case}: parent tree diverged");
+                let report = validate_bfs_tree(&run.parent, root, edges).unwrap();
+                assert_eq!(report, want_report, "{case}: validation report diverged");
+            }
         }
+    }
+    if let Some(cache) = data.page_cache() {
+        // The cached layout really ran the lookahead against a cache too
+        // small to hold the graph (and, under read faults, did not).
+        let snap = cache.snapshot();
+        assert!(snap.evictions > 0, "{label}: the cache never evicted");
+        let prefetching = opts
+            .fault_plan
+            .as_ref()
+            .is_none_or(|p| !p.has_read_faults());
+        assert_eq!(
+            snap.readahead_pages > 0,
+            prefetching,
+            "{label}: prefetched {} pages",
+            snap.readahead_pages
+        );
     }
 }
 
 #[test]
 fn every_layout_matches_reference_at_every_thread_count() {
     let edges = kron(11, 41);
-    for (label, scenario, opts) in layouts() {
+    for (label, scenario, opts) in layouts(&edges) {
         assert_all_threads_match(&edges, scenario, &opts, label);
     }
 }
@@ -100,7 +132,7 @@ fn device_profiles_do_not_change_the_tree() {
         DeviceProfile::intel_ssd_320(),
         DeviceProfile::nvme_gen4(),
     ] {
-        for (label, scenario, mut opts) in layouts() {
+        for (label, scenario, mut opts) in layouts(&edges) {
             if scenario == Scenario::DramOnly {
                 continue; // no device to override
             }
@@ -114,7 +146,7 @@ fn device_profiles_do_not_change_the_tree() {
 #[test]
 fn recoverable_faults_leave_parallel_trees_bit_identical() {
     let edges = kron(10, 53);
-    for (label, scenario, mut opts) in layouts() {
+    for (label, scenario, mut opts) in layouts(&edges) {
         if scenario == Scenario::DramOnly {
             continue; // fault plans apply to the device path
         }
