@@ -11,11 +11,13 @@
 //! * workers — 1, 2, 4, 8 threads sharing the page cache and device.
 //!
 //! Per configuration it reports QPS, p50/p99 latency, the shared-cache
-//! hit rate and device bytes per query. Because each query's search is
-//! serial, worker-level concurrency is the only parallelism: extra
-//! workers buy throughput exactly insofar as their device waits overlap,
-//! which is the semi-external story in miniature. The result cache is
-//! disabled so every answer is a fresh computation.
+//! hit rate, device bytes per query and the device queue depth
+//! (`avgqu-sz`). Each query's search is serial, but its frontier visits
+//! prefetch the neighbor lists a few vertices ahead, so one query keeps
+//! several device reads in flight; extra workers add throughput insofar
+//! as their device waits overlap too, which is the semi-external story
+//! in miniature. The result cache is disabled so every answer is a fresh
+//! computation.
 //!
 //! Pass `--smoke` for a seconds-long CI subset.
 
@@ -82,6 +84,7 @@ fn main() {
         "p99 us",
         "hit rate",
         "NVM KiB/q",
+        "avgqu-sz",
     ]);
 
     for &scenario in &sweep.scenarios {
@@ -132,6 +135,9 @@ fn main() {
                     .cache_hit_rate()
                     .map_or_else(|| "-".to_string(), |r| format!("{r:.4}"));
                 let kib_per_q = format!("{:.1}", stats.nvm_bytes_per_query() / 1024.0);
+                let avgqu_sz = stats
+                    .io
+                    .map_or_else(|| "-".to_string(), |io| format!("{:.2}", io.avgqu_sz()));
                 eprintln!(
                     "  {} workers: {:.0} QPS, p99 {} us, hit rate {}",
                     workers,
@@ -149,6 +155,7 @@ fn main() {
                     micros(stats.p99_latency),
                     hit_rate,
                     kib_per_q,
+                    avgqu_sz,
                 ]);
             }
         }
@@ -156,8 +163,9 @@ fn main() {
     table.print();
     println!();
     println!(
-        "note: per-query searches are serial, so QPS above 1 worker comes from \
-         overlapping device waits; budgets below 1.0x force that device traffic."
+        "note: per-query searches are serial but prefetch their frontier's lists \
+         ahead, so avgqu-sz exceeds 1 even at 1 worker; more workers overlap \
+         further device waits; budgets below 1.0x force that device traffic."
     );
     if let Some((config, text)) = prom_snapshot {
         println!();

@@ -28,13 +28,15 @@
 //! ([`DomainNeighbors::prefetch_values`], [`DomainNeighbors::prefetch_index`]).
 //! Index entries go one stage earlier because the value spans' bounds come
 //! from them; the first claim of a step also covers the units before
-//! those. On a caching store the prefetches are asynchronous device
-//! submissions, and by the time a unit is claimed its pages are cached or
-//! in flight; stores that do not prefetch ignore the hints.
+//! those ([`sembfs_csr::lookahead`], a schedule the query searches'
+//! frontier visitor shares). On a caching store the prefetches are
+//! asynchronous device submissions, and by the time a unit is claimed its
+//! pages are cached or in flight; stores that do not prefetch ignore the
+//! hints.
 
 use std::sync::atomic::{AtomicU32, AtomicUsize, Ordering};
 
-use sembfs_csr::{DomainNeighbors, NeighborCtx};
+use sembfs_csr::{lookahead, DomainNeighbors, NeighborCtx};
 use sembfs_numa::{DomainCounters, LocalDomainCounters, RangePartition};
 use sembfs_semext::Result;
 
@@ -94,7 +96,7 @@ pub fn par_top_down_step<G: DomainNeighbors>(
 
     let cursor = AtomicUsize::new(0);
     let workers = threads.max(1).min(total_units);
-    let lookahead = g.is_external();
+    let external = g.is_external();
     // Unit `u` is frontier chunk `u % num_chunks` read in domain
     // `u / num_chunks`.
     let unit = |u: usize| {
@@ -123,20 +125,13 @@ pub fn par_top_down_step<G: DomainNeighbors>(
                         if u >= total_units {
                             break;
                         }
-                        if lookahead {
-                            // The first claim also covers the units no
-                            // earlier claim looked ahead for.
-                            let (index_from, values_from) = if u == 0 {
-                                (0, 0)
-                            } else {
-                                (u + 2 * LOOKAHEAD, u + LOOKAHEAD)
-                            };
-                            let last = total_units - 1;
-                            for a in index_from..=(u + 2 * LOOKAHEAD).min(last) {
+                        if external {
+                            let (index, values) = lookahead(u, LOOKAHEAD, total_units);
+                            for a in index {
                                 let (k, chunk) = unit(a);
                                 g.prefetch_index(k, chunk);
                             }
-                            for a in values_from..=(u + LOOKAHEAD).min(last) {
+                            for a in values {
                                 let (k, chunk) = unit(a);
                                 g.prefetch_values(k, chunk);
                             }

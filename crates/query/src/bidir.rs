@@ -19,6 +19,16 @@
 //! the exhausted side's labels are then exact distances, and the very
 //! first edge scan into the opposite endpoint (labeled 0 from the start)
 //! recorded the exact candidate — no candidate means unreachable.
+//!
+//! **Serial by design.** Each search runs on the calling thread: the
+//! engine's parallelism axis is *queries across workers*, not edges within
+//! one query. One query still keeps several device reads in flight. The
+//! source side and [`neighborhood`] visit whole frontiers through
+//! [`ScenarioData::for_each_forward_neighbor`], which on a cached external
+//! forward graph prefetches the lists of the vertices 16 and 32 frontier
+//! positions ahead while it visits the current one. The destination side
+//! reads the backward graph, whose split tail is uncached and gets no
+//! prefetch.
 
 use sembfs_core::{ScenarioData, VertexId};
 use sembfs_graph500::validate::INVALID_LEVEL;
@@ -36,20 +46,85 @@ pub struct BidirOutcome {
     pub scanned_edges: u64,
 }
 
-/// Which search side scans next.
-#[derive(Clone, Copy, PartialEq, Eq)]
-enum Side {
-    Src,
-    Dst,
+/// One side of the search: its labels, its parents (path mode only),
+/// its frontier, and the rounds it has run.
+struct Half {
+    dist: Vec<u32>,
+    parent: Vec<VertexId>,
+    frontier: Vec<VertexId>,
+    depth: u32,
+}
+
+/// The best meeting found so far: total length, then the meet edge's
+/// endpoints indexed by side (`[src side, dst side]`).
+type Meet = Option<(u32, [VertexId; 2])>;
+
+impl Half {
+    fn new(n: usize, start: VertexId, want_path: bool) -> Self {
+        let mut dist = vec![INVALID_LEVEL; n];
+        dist[start as usize] = 0;
+        Self {
+            dist,
+            parent: if want_path {
+                vec![INVALID_PARENT; n]
+            } else {
+                Vec::new()
+            },
+            frontier: vec![start],
+            depth: 0,
+        }
+    }
+
+    /// Expand this side's frontier one level through `visit`, labeling
+    /// new vertices and catching every scanned edge `(v, w)` whose `w`
+    /// the other side (labels `other`) already reached. `side` is this
+    /// side's index in [`Meet`]'s endpoint pair.
+    fn expand(
+        &mut self,
+        side: usize,
+        other: &[u32],
+        best: &mut Meet,
+        scanned: &mut u64,
+        visit: impl FnOnce(&[VertexId], &mut dyn FnMut(VertexId, VertexId)) -> Result<()>,
+    ) -> Result<()> {
+        let Half {
+            dist,
+            parent,
+            frontier,
+            ..
+        } = self;
+        let mut next = Vec::new();
+        visit(frontier, &mut |v, w| {
+            *scanned += 1;
+            let (dv, wi) = (dist[v as usize], w as usize);
+            if dist[wi] == INVALID_LEVEL {
+                dist[wi] = dv + 1;
+                if !parent.is_empty() {
+                    parent[wi] = v;
+                }
+                next.push(w);
+            }
+            if other[wi] != INVALID_LEVEL {
+                let total = dv + 1 + other[wi];
+                if best.is_none_or(|(b, _)| total < b) {
+                    let mut ends = [w; 2];
+                    ends[side] = v;
+                    *best = Some((total, ends));
+                }
+            }
+        })?;
+        self.frontier = next;
+        self.depth += 1;
+        Ok(())
+    }
 }
 
 /// Point-to-point shortest path between `src` and `dst` by bidirectional
 /// BFS. Set `want_path` to also reconstruct one shortest path (costs two
 /// parent arrays); distance-only calls skip them.
 ///
-/// Runs serially on the calling thread by design — the engine's
-/// parallelism axis is *queries across workers*, not edges within one
-/// query.
+/// Runs serially on the calling thread by design, with the forward side's
+/// device reads prefetched ahead (see the module docs).
 pub fn bidirectional_search(
     data: &ScenarioData,
     src: VertexId,
@@ -70,97 +145,36 @@ pub fn bidirectional_search(
     }
 
     let n = n as usize;
-    let mut dist_s = vec![INVALID_LEVEL; n];
-    let mut dist_t = vec![INVALID_LEVEL; n];
-    dist_s[src as usize] = 0;
-    dist_t[dst as usize] = 0;
-    // parent_s[x] = predecessor of x toward src; parent_t[x] = successor
-    // of x toward dst.
-    let mut parent_s = if want_path {
-        vec![INVALID_PARENT; n]
-    } else {
-        Vec::new()
-    };
-    let mut parent_t = parent_s.clone();
-
-    let mut frontier_s = vec![src];
-    let mut frontier_t = vec![dst];
-    let mut depth_s = 0u32;
-    let mut depth_t = 0u32;
-    // (total length, meet edge a → b): a labeled by src side, b by dst side.
-    let mut best: Option<(u32, VertexId, VertexId)> = None;
+    // Side 0 searches from src through the forward store: its parent[x]
+    // is x's predecessor toward src. Side 1 searches from dst through the
+    // backward store: its parent[x] is x's successor toward dst.
+    let mut sides = [Half::new(n, src, want_path), Half::new(n, dst, want_path)];
+    let mut best: Meet = None;
     let mut scanned = 0u64;
     let mut ctx = data.neighbor_ctx();
 
     loop {
-        if let Some((len, _, _)) = best {
-            if depth_s + depth_t >= len {
+        let [s, t] = &mut sides;
+        if let Some((len, _)) = best {
+            if s.depth + t.depth >= len {
                 break;
             }
         }
-        let side = if frontier_s.is_empty() || frontier_t.is_empty() {
+        if s.frontier.is_empty() || t.frontier.is_empty() {
             break;
-        } else if frontier_s.len() <= frontier_t.len() {
-            Side::Src
+        }
+        if s.frontier.len() <= t.frontier.len() {
+            s.expand(0, &t.dist, &mut best, &mut scanned, |frontier, f| {
+                data.for_each_forward_neighbor(frontier, &mut ctx, f)
+            })?;
         } else {
-            Side::Dst
-        };
-
-        match side {
-            Side::Src => {
-                let mut next = Vec::new();
-                for &v in &frontier_s {
-                    let dv = dist_s[v as usize];
-                    data.for_each_forward_neighbor(v, &mut ctx, &mut |w| {
-                        scanned += 1;
-                        let wi = w as usize;
-                        if dist_s[wi] == INVALID_LEVEL {
-                            dist_s[wi] = dv + 1;
-                            if want_path {
-                                parent_s[wi] = v;
-                            }
-                            next.push(w);
-                        }
-                        if dist_t[wi] != INVALID_LEVEL {
-                            let total = dv + 1 + dist_t[wi];
-                            if best.is_none_or(|(b, _, _)| total < b) {
-                                best = Some((total, v, w));
-                            }
-                        }
-                    })?;
-                }
-                frontier_s = next;
-                depth_s += 1;
-            }
-            Side::Dst => {
-                let mut next = Vec::new();
-                for &v in &frontier_t {
-                    let dv = dist_t[v as usize];
-                    data.for_each_backward_neighbor(v, &mut ctx, &mut |w| {
-                        scanned += 1;
-                        let wi = w as usize;
-                        if dist_t[wi] == INVALID_LEVEL {
-                            dist_t[wi] = dv + 1;
-                            if want_path {
-                                parent_t[wi] = v;
-                            }
-                            next.push(w);
-                        }
-                        if dist_s[wi] != INVALID_LEVEL {
-                            let total = dist_s[wi] + 1 + dv;
-                            if best.is_none_or(|(b, _, _)| total < b) {
-                                best = Some((total, w, v));
-                            }
-                        }
-                    })?;
-                }
-                frontier_t = next;
-                depth_t += 1;
-            }
+            t.expand(1, &s.dist, &mut best, &mut scanned, |frontier, f| {
+                data.for_each_backward_neighbor(frontier, &mut ctx, f)
+            })?;
         }
     }
 
-    let Some((len, meet_a, meet_b)) = best else {
+    let Some((len, [meet_a, meet_b])) = best else {
         return Ok(BidirOutcome {
             distance: None,
             path: None,
@@ -176,7 +190,7 @@ pub fn bidirectional_search(
             if x == src {
                 break;
             }
-            x = parent_s[x as usize];
+            x = sides[0].parent[x as usize];
         }
         vertices.reverse();
         let mut x = meet_b;
@@ -185,7 +199,7 @@ pub fn bidirectional_search(
             if x == dst {
                 break;
             }
-            x = parent_t[x as usize];
+            x = sides[1].parent[x as usize];
         }
         debug_assert_eq!(vertices.len() as u32, len + 1);
         vertices
@@ -199,7 +213,8 @@ pub fn bidirectional_search(
 
 /// Sizes of the BFS rings around `v`: `counts[d]` = vertices exactly `d`
 /// hops away, expanded serially through the forward store up to `depth`
-/// hops (ring 0 is `v` itself).
+/// hops (ring 0 is `v` itself). Each ring is visited as one frontier, so
+/// a cached store prefetches its lists ahead (see the module docs).
 pub fn neighborhood(data: &ScenarioData, v: VertexId, depth: u32) -> Result<Vec<u64>> {
     let n = data.num_vertices();
     assert!((v as u64) < n, "vertex out of range");
@@ -210,15 +225,13 @@ pub fn neighborhood(data: &ScenarioData, v: VertexId, depth: u32) -> Result<Vec<
     let mut ctx = data.neighbor_ctx();
     for d in 1..=depth {
         let mut next = Vec::new();
-        for &u in &frontier {
-            data.for_each_forward_neighbor(u, &mut ctx, &mut |w| {
-                let wi = w as usize;
-                if dist[wi] == INVALID_LEVEL {
-                    dist[wi] = d;
-                    next.push(w);
-                }
-            })?;
-        }
+        data.for_each_forward_neighbor(&frontier, &mut ctx, &mut |_, w| {
+            let wi = w as usize;
+            if dist[wi] == INVALID_LEVEL {
+                dist[wi] = d;
+                next.push(w);
+            }
+        })?;
         if next.is_empty() {
             break;
         }
@@ -226,4 +239,56 @@ pub fn neighborhood(data: &ScenarioData, v: VertexId, depth: u32) -> Result<Vec<
         frontier = next;
     }
     Ok(counts)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use sembfs_core::{Scenario, ScenarioOptions};
+    use sembfs_graph500::KroneckerParams;
+    use sembfs_semext::cache::PAGE_BYTES;
+
+    /// A depth-2 neighborhood from the hub of a cold cached layout loads
+    /// the frontier's lists ahead of their visits: pages are prefetched,
+    /// none goes unused while the cache holds the whole forward graph,
+    /// and no page is read from the device twice.
+    #[test]
+    fn hub_neighborhood_prefetches_each_page_once() {
+        let el = KroneckerParams::graph500(10, 5).generate();
+        // The build leaves the offloaded files in the cache; a one-page
+        // cache keeps almost none of them, and growing it afterwards to
+        // several times the forward graph means the query starts cold
+        // and never evicts.
+        let options = ScenarioOptions {
+            page_cache_bytes: Some(PAGE_BYTES),
+            ..Default::default()
+        };
+        let data = ScenarioData::build(&el, Scenario::DramPcieFlash, options).unwrap();
+        let cache = data.page_cache().unwrap();
+        cache.set_capacity_bytes(4 * data.forward_bytes());
+        let device = data.device().unwrap();
+        let hub = (0..data.num_vertices() as VertexId)
+            .max_by_key(|&v| data.degree(v))
+            .unwrap();
+
+        let (cache_before, io_before) = (cache.snapshot(), device.snapshot());
+        let resident_before = cache.resident_pages() as u64;
+        let rings = neighborhood(&data, hub, 2).unwrap();
+        assert_eq!(rings.len(), 3, "a hub reaches two rings: {rings:?}");
+        let c = cache.snapshot().delta(&cache_before);
+        let io = device.snapshot().delta(&io_before);
+        assert!(c.readahead_pages > 0, "the query prefetched nothing");
+        assert_eq!(c.prefetch_unused, 0);
+        assert_eq!(c.evictions, 0);
+        // Every page load, on demand or ahead, made a new resident page,
+        // and the device delivered no more than those pages hold.
+        let loaded = cache.resident_pages() as u64 - resident_before;
+        assert_eq!(c.misses + c.readahead_pages, loaded);
+        assert!(io.bytes <= loaded * PAGE_BYTES, "{} bytes", io.bytes);
+
+        // Everything the query needs is now resident.
+        let io_before = device.snapshot();
+        assert_eq!(neighborhood(&data, hub, 2).unwrap(), rings);
+        assert_eq!(device.snapshot().delta(&io_before).requests, 0);
+    }
 }

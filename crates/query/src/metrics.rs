@@ -73,20 +73,74 @@ impl QueryStats {
         );
         if let Some(cache) = &self.cache {
             out.push_str(&format!(
-                "\npage cache: {} hits / {} misses (hit rate {:.4})",
+                "\npage cache: {} hits / {} misses (hit rate {:.4}), \
+                 {} pages loaded ahead, {} evicted unused",
                 cache.hits,
                 cache.misses,
-                cache.hit_rate()
+                cache.hit_rate(),
+                cache.readahead_pages,
+                cache.prefetch_unused
             ));
         }
         if let Some(io) = &self.io {
             out.push_str(&format!(
-                "\ndevice: {} requests, {} bytes ({:.0} B/query)",
+                "\ndevice: {} requests, {} bytes ({:.0} B/query), avgqu-sz {:.2}",
                 io.requests,
                 io.bytes,
-                self.nvm_bytes_per_query()
+                self.nvm_bytes_per_query(),
+                io.avgqu_sz()
             ));
         }
         out
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn report_shows_prefetch_and_queue_depth() {
+        let ms = Duration::from_millis;
+        let stats = QueryStats {
+            completed: 4,
+            rejected: 0,
+            result_cache_hits: 1,
+            elapsed: ms(2000),
+            mean_latency: ms(2),
+            p50_latency: ms(1),
+            p99_latency: ms(5),
+            max_latency: ms(6),
+            cache: Some(CacheSnapshot {
+                hits: 90,
+                misses: 10,
+                evictions: 7,
+                readahead_pages: 40,
+                prefetch_unused: 3,
+            }),
+            io: Some(IoSnapshot {
+                requests: 50,
+                bytes: 8192,
+                // 2 ms of requests outstanding per 1 ms of device time.
+                response_ns: 2_000_000,
+                first_arrival_ns: 1_000_000,
+                last_completion_ns: 2_000_000,
+                ..Default::default()
+            }),
+        };
+        let report = stats.report();
+        let lines: Vec<&str> = report.lines().collect();
+        assert_eq!(
+            lines[2..],
+            [
+                "page cache: 90 hits / 10 misses (hit rate 0.9000), \
+                 40 pages loaded ahead, 3 evicted unused",
+                "device: 50 requests, 8192 bytes (2048 B/query), avgqu-sz 2.00",
+            ]
+        );
+        assert_eq!(
+            lines[0],
+            "completed 4 (2.0 q/s), rejected 0, result-cache hits 1"
+        );
     }
 }

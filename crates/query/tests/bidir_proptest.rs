@@ -1,7 +1,8 @@
-//! Property tests: bidirectional point-to-point search must agree with
-//! the serial reference BFS on arbitrary graphs, endpoints, and data
-//! layouts — and reconstructed paths must be real edge sequences of
-//! exactly the claimed length.
+//! Property tests: bidirectional point-to-point search and neighborhood
+//! rings must agree with the serial reference BFS on arbitrary graphs,
+//! endpoints, and data layouts — reconstructed paths must be real edge
+//! sequences of exactly the claimed length, and every layout without a
+//! split backward graph must answer exactly like the DRAM-only one.
 
 use proptest::prelude::*;
 use sembfs_core::{reference_bfs, Scenario, ScenarioData, ScenarioOptions};
@@ -9,7 +10,7 @@ use sembfs_graph500::edge_list::MemEdgeList;
 use sembfs_graph500::validate::{compute_levels, INVALID_LEVEL};
 use sembfs_graph500::VertexId;
 use sembfs_numa::Topology;
-use sembfs_query::bidirectional_search;
+use sembfs_query::{bidirectional_search, neighborhood};
 
 const N: u32 = 32;
 
@@ -20,8 +21,9 @@ fn options() -> ScenarioOptions {
     }
 }
 
-/// The four layouts under test: every scenario, plus a split backward
-/// graph so the DRAM-head + NVM-tail read path is exercised too.
+/// The five layouts under test: every scenario (DRAM-only first), a
+/// cached external forward graph, and a split backward graph so the
+/// DRAM-head + NVM-tail read path is exercised too.
 fn layouts(el: &MemEdgeList) -> Vec<(String, ScenarioData)> {
     let mut out = Vec::new();
     for sc in Scenario::ALL {
@@ -30,6 +32,10 @@ fn layouts(el: &MemEdgeList) -> Vec<(String, ScenarioData)> {
             ScenarioData::build(el, sc, options()).unwrap(),
         ));
     }
+    out.push((
+        "DRAM+PCIeFlash cached".to_string(),
+        ScenarioData::build(el, Scenario::DramPcieFlash, cached_options(el)).unwrap(),
+    ));
     let mut opts = options();
     opts.backward_offload_k = Some(2);
     out.push((
@@ -37,6 +43,28 @@ fn layouts(el: &MemEdgeList) -> Vec<(String, ScenarioData)> {
         ScenarioData::build(el, Scenario::DramSsd, opts).unwrap(),
     ));
     out
+}
+
+/// A page cache of about a quarter of the forward graph (at least one
+/// page) in a single CLOCK ring, so pages are evicted in the middle of a
+/// query, prefetched ones included.
+fn cached_options(el: &MemEdgeList) -> ScenarioOptions {
+    let dram = ScenarioData::build(el, Scenario::DramOnly, options()).unwrap();
+    ScenarioOptions {
+        page_cache_bytes: Some(dram.forward_bytes() / 4),
+        cache_shards: Some(1),
+        ..options()
+    }
+}
+
+/// Ring sizes around `v` up to `depth` from the reference BFS levels,
+/// stopping at the first empty ring.
+fn reference_rings(data: &ScenarioData, v: VertexId, depth: u32) -> Vec<u64> {
+    let levels = compute_levels(&reference_bfs(data.csr(), v).parent, v).unwrap();
+    (0..=depth)
+        .map(|d| levels.iter().filter(|&&l| l == d).count() as u64)
+        .take_while(|&ring| ring > 0)
+        .collect()
 }
 
 proptest! {
@@ -74,6 +102,45 @@ proptest! {
                     }
                 }
             }
+        }
+    }
+
+    /// Neighborhood ring sizes equal the reference BFS rings, in every
+    /// layout.
+    #[test]
+    fn neighborhood_matches_reference_rings_in_all_layouts(
+        edges in proptest::collection::vec((0u32..N, 0u32..N), 0..80),
+        v in 0u32..N,
+        depth in 0u32..5,
+    ) {
+        let el = MemEdgeList::new(N as u64, edges);
+        for (label, data) in layouts(&el) {
+            let want = reference_rings(&data, v, depth);
+            let got = neighborhood(&data, v, depth).unwrap();
+            prop_assert_eq!(got, want, "{}: rings around {} to depth {}", &label, v, depth);
+        }
+    }
+
+    /// Every layout without a split backward graph returns exactly the
+    /// DRAM-only answers: distance, path and scanned edges of a
+    /// bidirectional search, and neighborhood rings.
+    #[test]
+    fn unsplit_layouts_answer_like_dram_only(
+        edges in proptest::collection::vec((0u32..N, 0u32..N), 0..80),
+        src in 0u32..N,
+        dst in 0u32..N,
+        depth in 0u32..5,
+    ) {
+        let el = MemEdgeList::new(N as u64, edges);
+        let mut all = layouts(&el).into_iter();
+        let (_, dram) = all.next().unwrap();
+        let want_bidir = bidirectional_search(&dram, src, dst, true).unwrap();
+        let want_rings = neighborhood(&dram, src, depth).unwrap();
+        for (label, data) in all.filter(|(_, d)| d.options().backward_offload_k.is_none()) {
+            let got = bidirectional_search(&data, src, dst, true).unwrap();
+            prop_assert_eq!(&got, &want_bidir, "{}: {} → {}", &label, src, dst);
+            let rings = neighborhood(&data, src, depth).unwrap();
+            prop_assert_eq!(&rings, &want_rings, "{}: rings around {}", &label, src);
         }
     }
 
@@ -130,4 +197,21 @@ fn path_graph_end_to_end() {
     let out3 = bidirectional_search(&data2, 2, 2, true).unwrap();
     assert_eq!(out3.distance, Some(0));
     assert_eq!(out3.path.unwrap(), vec![2 as VertexId]);
+}
+
+/// The cached layout really evicts during one query: a wheel's
+/// neighborhood spans more pages than its cache holds.
+#[test]
+fn cached_layout_evicts_mid_query() {
+    let mut edges: Vec<(u32, u32)> = (1..N).map(|v| (0, v)).collect();
+    edges.extend((1..N).map(|v| (v, v % (N - 1) + 1)));
+    let el = MemEdgeList::new(N as u64, edges);
+    let data = ScenarioData::build(&el, Scenario::DramPcieFlash, cached_options(&el)).unwrap();
+    let cache = data.page_cache().unwrap();
+    let before = cache.snapshot();
+    assert_eq!(
+        neighborhood(&data, 1, 2).unwrap(),
+        reference_rings(&data, 1, 2)
+    );
+    assert!(cache.snapshot().delta(&before).evictions > 0);
 }
