@@ -62,7 +62,7 @@ fn visit_forward<G: DomainNeighbors>(
             let (index, values) = lookahead(i, FRONTIER_LOOKAHEAD, frontier.len());
             for k in 0..g.num_domains() {
                 g.prefetch_index(k, &frontier[index.clone()]);
-                g.prefetch_values(k, &frontier[values.clone()]);
+                g.prefetch_values(k, &frontier[values.clone()], ctx);
             }
         }
         for k in 0..g.num_domains() {

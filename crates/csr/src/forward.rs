@@ -223,11 +223,11 @@ impl<R: ReadAt> DomainNeighbors for ExtForwardGraph<R> {
     }
 
     fn prefetch_index(&self, k: usize, vs: &[VertexId]) {
-        self.domains[k].prefetch_index(vs.iter().map(|&v| v as u64));
+        self.domains[k].prefetch_index(vs);
     }
 
-    fn prefetch_values(&self, k: usize, vs: &[VertexId]) {
-        self.domains[k].prefetch_values(vs.iter().map(|&v| v as u64));
+    fn prefetch_values(&self, k: usize, vs: &[VertexId], ctx: &mut NeighborCtx) {
+        self.domains[k].prefetch_values(vs, &mut ctx.window);
     }
 
     fn with_neighbors<R2>(
@@ -254,7 +254,16 @@ impl<R: ReadAt> DomainNeighbors for ExtForwardGraph<R> {
         ctx: &mut NeighborCtx,
         f: &mut dyn FnMut(VertexId, &[VertexId]),
     ) -> Result<()> {
+        let d = &self.domains[k];
         if !ctx.aggregate {
+            // A caching store serves the (ascending) unit in page windows,
+            // one cache lookup per page. Uncached stores keep one read per
+            // vertex, so their device requests stay as they were, and a
+            // store under read faults (which does not prefetch either)
+            // keeps one fault draw per vertex read.
+            if d.values().store().prefetches() {
+                return d.for_each_neighbors(vs, &ctx.reader, &mut ctx.window, f);
+            }
             for &v in vs {
                 self.with_neighbors(k, v, ctx, |ns| f(v, ns))?;
             }
@@ -264,7 +273,7 @@ impl<R: ReadAt> DomainNeighbors for ExtForwardGraph<R> {
         // batch (the paper dequeues 64 vertices at a time, §V-C).
         ctx.scratch.clear();
         let ids: Vec<u64> = vs.iter().map(|&v| v as u64).collect();
-        self.domains[k].read_neighbors_batch(&ids, &ctx.reader, &mut ctx.batch)?;
+        d.read_neighbors_batch(&ids, &ctx.reader, &mut ctx.batch)?;
         for (i, &v) in vs.iter().enumerate() {
             f(v, &ctx.batch.outs[i]);
         }

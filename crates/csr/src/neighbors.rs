@@ -10,7 +10,7 @@
 
 use std::ops::Range;
 
-use sembfs_semext::{ChunkedReader, NeighborBatch, Result};
+use sembfs_semext::{ChunkedReader, NeighborBatch, Result, WindowScratch};
 
 use crate::VertexId;
 
@@ -30,6 +30,8 @@ pub struct NeighborCtx {
     pub aggregate: bool,
     /// Scratch for batched reads.
     pub batch: NeighborBatch,
+    /// Scratch for windowed reads and value prefetches.
+    pub window: WindowScratch,
 }
 
 impl NeighborCtx {
@@ -41,6 +43,7 @@ impl NeighborCtx {
             scratch: Vec::new(),
             aggregate: false,
             batch: NeighborBatch::new(),
+            window: WindowScratch::default(),
         }
     }
 
@@ -109,15 +112,17 @@ pub trait DomainNeighbors: Send + Sync {
 
     /// Start loading the domain-`k` neighbor lists of `vs` ahead of their
     /// reads, once [`prefetch_index`](Self::prefetch_index) has brought
-    /// their index entries in. A best-effort hint that never fails; the
-    /// default (DRAM sources) does nothing.
-    fn prefetch_values(&self, _k: usize, _vs: &[VertexId]) {}
+    /// their index entries in (`ctx` holds the index read's scratch). A
+    /// best-effort hint that never fails; the default (DRAM sources) does
+    /// nothing.
+    fn prefetch_values(&self, _k: usize, _vs: &[VertexId], _ctx: &mut NeighborCtx) {}
 
     /// Visit the domain-`k` neighbor lists of all of `vs`, invoking
-    /// `f(v, neighbors)` per vertex. The default loops over
+    /// `f(v, neighbors)` per vertex in slice order. The default loops over
     /// [`with_neighbors`](Self::with_neighbors); semi-external sources
-    /// override it to submit the whole batch asynchronously when
-    /// `ctx.aggregate` is set (§VI-D's aggregation).
+    /// override it to read nearby vertices of an ascending `vs` in shared
+    /// page windows on a caching store, or to submit the whole batch
+    /// asynchronously when `ctx.aggregate` is set (§VI-D's aggregation).
     fn with_neighbors_batch(
         &self,
         k: usize,

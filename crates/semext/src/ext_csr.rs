@@ -257,34 +257,159 @@ impl<R: ReadAt> ExtCsr<R> {
         Ok(())
     }
 
+    /// Visit the neighbor lists of `vs`, calling `f(v, neighbors)` once
+    /// per vertex in slice order, with one index read and one value read
+    /// per *window* instead of per vertex.
+    ///
+    /// A window is a run of consecutive, ascending members whose index
+    /// entries lie less than 512 bytes apart, cut further wherever a
+    /// nonempty value span starts 512 bytes or more past the previous
+    /// nonempty one. The gap is smaller than a page, so a window's reads
+    /// touch exactly the pages its members' own reads would; on a paged
+    /// store each page is looked up once per window. A sorted slice of
+    /// nearby vertices (a top-down unit) forms few windows; an unsorted
+    /// one degrades to single vertices, read exactly as by
+    /// [`read_neighbors`](Self::read_neighbors).
+    pub fn for_each_neighbors(
+        &self,
+        vs: &[u32],
+        reader: &ChunkedReader,
+        scratch: &mut WindowScratch,
+        f: &mut dyn FnMut(u32, &[u32]),
+    ) -> Result<()> {
+        let WindowScratch {
+            ranges,
+            bytes,
+            values,
+        } = scratch;
+        for window in self.index_windows(vs) {
+            self.window_ranges(window, ranges, bytes)?;
+            for (members, start, end) in value_windows(ranges) {
+                values.clear();
+                if end > start {
+                    bytes.clear();
+                    bytes.resize((end - start) as usize * 4, 0);
+                    reader.read_span(self.values.store(), start * 4, bytes)?;
+                    decode_into::<u32>(bytes, values);
+                }
+                for (&v, &(s, e)) in window[members.clone()].iter().zip(&ranges[members]) {
+                    let ns = if s < e {
+                        &values[(s - start) as usize..(e - start) as usize]
+                    } else {
+                        &[]
+                    };
+                    f(v, ns);
+                }
+            }
+        }
+        Ok(())
+    }
+
     /// Start loading the index entries of `vs` ahead of their demand
-    /// reads ([`ReadAt::prefetch`]; a no-op with a DRAM index or on stores
-    /// that do not prefetch).
-    pub fn prefetch_index(&self, vs: impl IntoIterator<Item = u64>) {
+    /// reads ([`ReadAt::prefetch`]), one hint per window of
+    /// [`for_each_neighbors`](Self::for_each_neighbors). A no-op with a
+    /// DRAM index or on stores that do not prefetch.
+    pub fn prefetch_index(&self, vs: &[u32]) {
         if self.dram_index.is_some() || !self.index.store().prefetches() {
             return;
         }
-        for v in vs {
-            self.index.store().prefetch(self.index.byte_offset(v), 16);
+        for window in self.index_windows(vs) {
+            let first = u64::from(window[0]);
+            let last = u64::from(window[window.len() - 1]);
+            self.index
+                .store()
+                .prefetch(self.index.byte_offset(first), (last - first + 2) * 8);
         }
     }
 
     /// Start loading the neighbor value spans of `vs` ahead of their
-    /// demand reads ([`ReadAt::prefetch`]). The spans' bounds are read
-    /// from the index, so this is best run once
+    /// demand reads ([`ReadAt::prefetch`]), one hint per window of
+    /// [`for_each_neighbors`](Self::for_each_neighbors). The spans' bounds
+    /// come from one index read per window, so this is best run once
     /// [`prefetch_index`](Self::prefetch_index) has brought those entries
-    /// in. Best-effort:
-    /// a vertex whose index entries cannot be read is skipped, and stores
-    /// that do not prefetch cost no index reads at all.
-    pub fn prefetch_values(&self, vs: impl IntoIterator<Item = u64>) {
+    /// in. Best-effort: a window whose index entries cannot be read is
+    /// skipped, and stores that do not prefetch cost no index reads at
+    /// all.
+    pub fn prefetch_values(&self, vs: &[u32], scratch: &mut WindowScratch) {
         if !self.values.store().prefetches() {
             return;
         }
-        for v in vs {
-            if let Ok((start, end)) = self.neighbor_range(v) {
-                self.values.store().prefetch(start * 4, (end - start) * 4);
+        let WindowScratch { ranges, bytes, .. } = scratch;
+        for window in self.index_windows(vs) {
+            if self.window_ranges(window, ranges, bytes).is_err() {
+                continue;
+            }
+            for (_, start, end) in value_windows(ranges) {
+                if end > start {
+                    self.values.store().prefetch(start * 4, (end - start) * 4);
+                }
             }
         }
+    }
+
+    /// Split `vs` into index windows: maximal runs of ascending vertices
+    /// whose index entries lie less than [`WINDOW_GAP_BYTES`] apart. With
+    /// a DRAM index nothing is read, so the whole slice is one window.
+    fn index_windows<'a>(&'a self, mut vs: &'a [u32]) -> impl Iterator<Item = &'a [u32]> + 'a {
+        std::iter::from_fn(move || {
+            if vs.is_empty() {
+                return None;
+            }
+            let len = if self.dram_index.is_some() {
+                vs.len()
+            } else {
+                // Entries of v and w span [8v, 8w + 16).
+                let near = |p: &[u32]| {
+                    p[1] > p[0]
+                        && (u64::from(p[1] - p[0]) * 8).saturating_sub(16) < WINDOW_GAP_BYTES
+                };
+                1 + vs.windows(2).take_while(|p| near(p)).count()
+            };
+            let (window, rest) = vs.split_at(len);
+            vs = rest;
+            Some(window)
+        })
+    }
+
+    /// Resolve the value ranges of one index window into `ranges`: one
+    /// read of the window's index entries (staged in `bytes`), or DRAM
+    /// lookups.
+    fn window_ranges(
+        &self,
+        window: &[u32],
+        ranges: &mut Vec<(u64, u64)>,
+        bytes: &mut Vec<u8>,
+    ) -> Result<()> {
+        ranges.clear();
+        if let Some(&v) = window.iter().find(|&&v| u64::from(v) >= self.num_vertices) {
+            return Err(Error::OutOfBounds {
+                offset: v.into(),
+                len: 1,
+                size: self.num_vertices,
+            });
+        }
+        if let Some(idx) = &self.dram_index {
+            ranges.extend(
+                window
+                    .iter()
+                    .map(|&v| (idx[v as usize], idx[v as usize + 1])),
+            );
+            return Ok(());
+        }
+        let first = window[0];
+        let last = window[window.len() - 1];
+        bytes.clear();
+        bytes.resize((last - first) as usize * 8 + 16, 0);
+        self.index
+            .store()
+            .read_at(self.index.byte_offset(first.into()), bytes)?;
+        let entry =
+            |i: usize| u64::from_le_bytes(bytes[i * 8..i * 8 + 8].try_into().expect("8 bytes"));
+        ranges.extend(window.iter().map(|&v| {
+            let i = (v - first) as usize;
+            (entry(i), entry(i + 1))
+        }));
+        Ok(())
     }
 
     /// The underlying index array.
@@ -316,6 +441,59 @@ impl NeighborBatch {
     }
 }
 
+/// Largest byte gap between neighbouring members' index entries, or
+/// between their nonempty value spans, that one windowed read spans. It
+/// is below a page, so a window touches only pages its members touch, and
+/// small, so the gap bytes a window copies for nothing stay few.
+const WINDOW_GAP_BYTES: u64 = 512;
+
+/// Reusable scratch for [`ExtCsr::for_each_neighbors`] and
+/// [`ExtCsr::prefetch_values`], so windowed reads allocate nothing once
+/// warm.
+#[derive(Debug, Default)]
+pub struct WindowScratch {
+    /// `[start, end)` value ranges of the current index window.
+    ranges: Vec<(u64, u64)>,
+    /// Raw bytes of the current index or value window.
+    bytes: Vec<u8>,
+    /// Decoded values of the current value window.
+    values: Vec<u32>,
+}
+
+/// Split one index window's value `ranges` into value windows, yielding
+/// each window's member positions and its `[start, end)` value span
+/// (empty when every member's list is). A member joins while its list is
+/// empty (it touches no page) or starts less than [`WINDOW_GAP_BYTES`]
+/// past the end of the window's last nonempty list.
+fn value_windows(
+    ranges: &[(u64, u64)],
+) -> impl Iterator<Item = (std::ops::Range<usize>, u64, u64)> + '_ {
+    let mut a = 0;
+    std::iter::from_fn(move || {
+        if a >= ranges.len() {
+            return None;
+        }
+        let mut span: Option<(u64, u64)> = None;
+        let mut b = a;
+        for &(s, e) in &ranges[a..] {
+            if s < e {
+                match span {
+                    None => span = Some((s, e)),
+                    Some((start, end)) if s >= end && (s - end) * 4 < WINDOW_GAP_BYTES => {
+                        span = Some((start, e))
+                    }
+                    Some(_) => break,
+                }
+            }
+            b += 1;
+        }
+        let (start, end) = span.unwrap_or((0, 0));
+        let members = a..b;
+        a = b;
+        Some((members, start, end))
+    })
+}
+
 /// Write a CSR (index, values) pair to `index_path`/`value_path` as
 /// little-endian array files — the "offload the forward graph to NVM"
 /// step (§V-A Step 2). Returns total bytes written.
@@ -338,8 +516,13 @@ pub fn write_csr_files(
 
 #[cfg(test)]
 mod tests {
+    use std::sync::Arc;
+
     use super::*;
     use crate::backend::{DramBackend, FileBackend};
+    use crate::cache::PAGE_BYTES;
+    use crate::device::{DelayMode, Device, DeviceProfile};
+    use crate::shard_cache::{ShardedCachedStore, ShardedPageCache};
     use crate::tempdir::TempDir;
 
     /// A small fixed graph: 0→{1,2}, 1→{0,2,3}, 2→{}, 3→{1}.
@@ -347,17 +530,55 @@ mod tests {
         (vec![0, 2, 5, 5, 6], vec![1, 2, 0, 2, 3, 1])
     }
 
+    /// Little-endian file images of a CSR's index and value arrays.
+    fn csr_bytes(index: &[u64], values: &[u32]) -> (Vec<u8>, Vec<u8>) {
+        (
+            index.iter().flat_map(|v| v.to_le_bytes()).collect(),
+            values.iter().flat_map(|v| v.to_le_bytes()).collect(),
+        )
+    }
+
     fn dram_csr() -> ExtCsr<DramBackend> {
         let (index, values) = sample_csr();
-        let mut ib = vec![0u8; index.len() * 8];
-        for (i, v) in index.iter().enumerate() {
-            ib[i * 8..(i + 1) * 8].copy_from_slice(&v.to_le_bytes());
-        }
-        let mut vb = vec![0u8; values.len() * 4];
-        for (i, v) in values.iter().enumerate() {
-            vb[i * 4..(i + 1) * 4].copy_from_slice(&v.to_le_bytes());
-        }
+        let (ib, vb) = csr_bytes(&index, &values);
         ExtCsr::new(DramBackend::new(ib), DramBackend::new(vb)).unwrap()
+    }
+
+    /// A CSR whose files sit behind one shared page cache on `device`.
+    fn cached_csr(
+        index: &[u64],
+        values: &[u32],
+        device: &Arc<Device>,
+        cache: &Arc<ShardedPageCache>,
+    ) -> ExtCsr<ShardedCachedStore<DramBackend>> {
+        let (ib, vb) = csr_bytes(index, values);
+        let store =
+            |bytes| ShardedCachedStore::new(DramBackend::new(bytes), device.clone(), cache.clone());
+        ExtCsr::new(store(ib), store(vb)).unwrap()
+    }
+
+    /// `for_each_neighbors(vs)` (after the windowed hints) hands out
+    /// exactly the per-vertex `read_neighbors` lists, in slice order.
+    fn assert_windowed_matches<R: ReadAt>(csr: &ExtCsr<R>, vs: &[u32]) {
+        let reader = ChunkedReader::unmerged();
+        let mut window = WindowScratch::default();
+        csr.prefetch_index(vs);
+        csr.prefetch_values(vs, &mut window);
+        let mut seen = Vec::new();
+        csr.for_each_neighbors(vs, &reader, &mut window, &mut |v, ns| {
+            seen.push((v, ns.to_vec()))
+        })
+        .unwrap();
+        let (mut out, mut scratch) = (Vec::new(), Vec::new());
+        let expect: Vec<(u32, Vec<u32>)> = vs
+            .iter()
+            .map(|&v| {
+                csr.read_neighbors(v.into(), &reader, &mut out, &mut scratch)
+                    .unwrap();
+                (v, out.clone())
+            })
+            .collect();
+        assert_eq!(seen, expect, "vertices {vs:?}");
     }
 
     #[test]
@@ -507,8 +728,82 @@ mod tests {
     }
 
     #[test]
+    fn windowed_visit_handles_empty_lists_and_rejects_bad_vertices() {
+        let csr = dram_csr();
+        // 2 has no neighbors; the 1s after 3 do not ascend, so each
+        // opens a new window.
+        assert_windowed_matches(&csr, &[0, 1, 2, 3, 1, 1]);
+        assert_windowed_matches(&csr, &[2]);
+        assert_windowed_matches(&csr, &[]);
+        let mut window = WindowScratch::default();
+        let visit = csr.for_each_neighbors(
+            &[0, 4],
+            &ChunkedReader::unmerged(),
+            &mut window,
+            &mut |_, _| {},
+        );
+        assert!(matches!(visit, Err(Error::OutOfBounds { offset: 4, .. })));
+    }
+
+    #[test]
+    fn windowed_reads_load_the_pages_per_vertex_reads_load() {
+        // Lists of 0..40 entries, so neighbouring vertices share pages.
+        // Members skip one vertex in three (windows continue) and runs of
+        // 61 vertices, whose ~5 KB of values can hold a page no member
+        // touches (value windows must split there while index windows
+        // continue).
+        let mut index = vec![0u64];
+        let mut values = Vec::new();
+        for v in 0..4000u32 {
+            values.extend((0..v * 37 % 41).map(|j| v ^ j));
+            index.push(values.len() as u64);
+        }
+        let vs: Vec<u32> = (0..4000u32)
+            .filter(|v| v % 3 != 1 && v % 211 < 150)
+            .collect();
+        let load = |windowed: bool| {
+            let device = Device::new(DeviceProfile::iodrive2(), DelayMode::Accounting);
+            // Larger than both files: no page is evicted or read twice.
+            let cache = ShardedPageCache::new(1 << 20);
+            let csr = cached_csr(&index, &values, &device, &cache);
+            let reader = ChunkedReader::for_device(&device);
+            let (mut window, mut out, mut scratch) =
+                (WindowScratch::default(), Vec::new(), Vec::new());
+            let before = cache.snapshot();
+            let mut edges = 0;
+            for unit in vs.chunks(64) {
+                if windowed {
+                    csr.for_each_neighbors(unit, &reader, &mut window, &mut |_, ns| {
+                        edges += ns.len()
+                    })
+                    .unwrap();
+                } else {
+                    for &v in unit {
+                        csr.read_neighbors(v.into(), &reader, &mut out, &mut scratch)
+                            .unwrap();
+                        edges += out.len();
+                    }
+                }
+            }
+            let after = cache.snapshot();
+            let lookups = after.hits + after.misses - before.hits - before.misses;
+            (device.snapshot(), cache.resident_pages(), lookups, edges)
+        };
+        let (per_vertex, per_vertex_pages, per_vertex_lookups, edges) = load(false);
+        let (windowed, windowed_pages, windowed_lookups, windowed_edges) = load(true);
+        assert_eq!(windowed_edges, edges);
+        assert_eq!(windowed_pages, per_vertex_pages, "same distinct pages");
+        assert_eq!(windowed.bytes, per_vertex.bytes, "same device bytes");
+        assert!(windowed.requests <= per_vertex.requests);
+        assert!(
+            windowed_lookups * 4 < per_vertex_lookups,
+            "{windowed_lookups} windowed vs {per_vertex_lookups} per-vertex page lookups"
+        );
+    }
+
+    #[test]
     fn batch_device_requests_counted_once_per_submission() {
-        use crate::device::{DelayMode, Device, DeviceProfile, NvmStore};
+        use crate::device::NvmStore;
         let (index, values) = sample_csr();
         let dir = TempDir::new("batch-csr").unwrap();
         let ip = dir.path().join("i");
@@ -559,6 +854,54 @@ mod tests {
                     csr.read_neighbors(v as u64, &reader, &mut out, &mut scratch).unwrap();
                     prop_assert_eq!(&out, list);
                 }
+            }
+
+            /// Windowed visits equal per-vertex reads for ascending,
+            /// unsorted, strided and singleton vertex lists, with the index
+            /// on the store or in DRAM, on plain DRAM stores and behind a
+            /// one-page cache. One vertex in four gets a list of up to 400
+            /// entries, so member gaps fall on both sides of the 512-byte
+            /// window gap and of page boundaries, in both files.
+            #[test]
+            fn windowed_visit_matches_per_vertex_reads(
+                degrees in proptest::collection::vec((0u32..4, 0u32..400), 1..700),
+                picks in proptest::collection::vec(any::<u32>(), 0..80),
+                stride in 1u32..160,
+            ) {
+                let mut index = vec![0u64];
+                let mut values = Vec::new();
+                for (v, &(kind, len)) in degrees.iter().enumerate() {
+                    let len = if kind == 0 { len } else { len % 8 };
+                    values.extend((0..len).map(|j| (v as u32).wrapping_mul(7919) ^ j));
+                    index.push(values.len() as u64);
+                }
+                let n = degrees.len() as u32;
+                let unsorted: Vec<u32> = picks.iter().map(|&p| p % n).collect();
+                let mut ascending = unsorted.clone();
+                ascending.sort_unstable();
+                ascending.dedup();
+                let strided: Vec<u32> = (0..n).step_by(stride as usize).collect();
+
+                let (ib, vb) = csr_bytes(&index, &values);
+                let dram = || ExtCsr::new(DramBackend::new(ib.clone()), DramBackend::new(vb.clone())).unwrap();
+                let cached = || {
+                    let cache = ShardedPageCache::with_shards(PAGE_BYTES, 1);
+                    cached_csr(&index, &values, &Device::unmetered(), &cache)
+                };
+                let check = |csr: &dyn Fn(&[u32])| {
+                    for vs in [&unsorted, &ascending, &strided] {
+                        csr(vs);
+                    }
+                    for &v in &ascending {
+                        csr(&[v]);
+                    }
+                };
+                let (a, b) = (dram(), dram().with_dram_index().unwrap());
+                check(&|vs| assert_windowed_matches(&a, vs));
+                check(&|vs| assert_windowed_matches(&b, vs));
+                let (c, d) = (cached(), cached().with_dram_index().unwrap());
+                check(&|vs| assert_windowed_matches(&c, vs));
+                check(&|vs| assert_windowed_matches(&d, vs));
             }
         }
     }

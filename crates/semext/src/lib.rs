@@ -47,7 +47,7 @@ pub use chunked::ChunkedReader;
 pub use device::{DelayMode, Device, DeviceProfile, NvmStore};
 pub use error::{Error, Result};
 pub use ext_array::ExtArray;
-pub use ext_csr::{ExtCsr, NeighborBatch};
+pub use ext_csr::{ExtCsr, NeighborBatch, WindowScratch};
 pub use fault::{
     retry_blocking, Backoff, DeviceHealth, FaultKind, FaultPlan, FaultSnapshot, FaultState,
     PageIntegrity, RetryPolicy,

@@ -51,9 +51,13 @@ fn flag<T: std::str::FromStr>(flags: &HashMap<String, String>, name: &str, defau
 
 fn scenario_of(flags: &HashMap<String, String>) -> Scenario {
     match flags.get("scenario").map(String::as_str) {
+        None | Some("dram") => Scenario::DramOnly,
         Some("flash") => Scenario::DramPcieFlash,
         Some("ssd") => Scenario::DramSsd,
-        _ => Scenario::DramOnly,
+        Some(other) => {
+            eprintln!("bad --scenario {other:?}: expected dram|flash|ssd");
+            std::process::exit(2);
+        }
     }
 }
 

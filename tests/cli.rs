@@ -135,6 +135,19 @@ fn serve_sim_runs_the_closed_loop() {
 }
 
 #[test]
+fn unknown_scenario_is_rejected() {
+    for cmd in ["bfs", "serve-sim"] {
+        let out = sembfs()
+            .args([cmd, "--scale", "8", "--scenario", "flahs"])
+            .output()
+            .unwrap();
+        assert_eq!(out.status.code(), Some(2), "{cmd}");
+        let err = String::from_utf8(out.stderr).unwrap();
+        assert!(err.contains("dram|flash|ssd"), "{cmd}: {err}");
+    }
+}
+
+#[test]
 fn unknown_command_prints_usage() {
     let out = sembfs().arg("frobnicate").output().unwrap();
     let err = String::from_utf8(out.stderr).unwrap();
