@@ -237,7 +237,8 @@ pub enum ForwardStore {
 /// Where the backward graph lives.
 #[derive(Debug)]
 pub enum BackwardStore {
-    /// Fully in DRAM (the paper's implemented layout).
+    /// Fully in DRAM (the paper's implemented layout). Its CSR is also the
+    /// scenario's full CSR, so the graph is held once.
     Dram(BackwardGraph),
     /// DRAM head + NVM tail (§VI-E).
     Split(SplitBackwardGraph<NvmStore<FileBackend>>),
@@ -251,7 +252,8 @@ pub struct ScenarioData {
     options: ScenarioOptions,
     forward: ForwardStore,
     backward: BackwardStore,
-    csr: CsrGraph,
+    /// The full CSR when the backward graph does not hold it (split).
+    csr: Option<CsrGraph>,
     partition: RangePartition,
     device: Option<Arc<Device>>,
     page_cache: Option<Arc<ShardedPageCache>>,
@@ -422,7 +424,7 @@ impl ScenarioData {
         };
 
         // Backward graph: DRAM, or split with the tail on the same device.
-        let backward = match (options.backward_offload_k, &device) {
+        let (backward, csr) = match (options.backward_offload_k, &device) {
             (Some(k), Some(dev)) => {
                 let dir = dir.as_ref().expect("device implies directory");
                 let (head, tail_index, tail_values) = split_csr(&csr, k);
@@ -442,12 +444,16 @@ impl ScenarioData {
                     // (value) traffic, and an unpinned index would double every
                     // probe's request count.
                     .with_dram_index()?;
-                BackwardStore::Split(SplitBackwardGraph::new(head, tail, partition.clone(), k))
+                let split = SplitBackwardGraph::new(head, tail, partition.clone(), k);
+                (BackwardStore::Split(split), Some(csr))
             }
             (Some(_), None) => {
                 panic!("backward_offload_k requires an NVM scenario (DramPcieFlash or DramSsd)")
             }
-            (None, _) => BackwardStore::Dram(BackwardGraph::new(csr.clone(), partition.clone())),
+            (None, _) => (
+                BackwardStore::Dram(BackwardGraph::new(csr, partition.clone())),
+                None,
+            ),
         };
 
         Ok(Self {
@@ -476,7 +482,10 @@ impl ScenarioData {
     /// The full CSR (kept for root selection, validation aids, and the
     /// reference baseline — measurement scaffolding, not BFS state).
     pub fn csr(&self) -> &CsrGraph {
-        &self.csr
+        match &self.backward {
+            BackwardStore::Dram(g) => g.csr(),
+            BackwardStore::Split(_) => self.csr.as_ref().expect("a split layout keeps the CSR"),
+        }
     }
 
     /// The NUMA vertex partition.
@@ -516,12 +525,12 @@ impl ScenarioData {
 
     /// Degree of `v` in the full graph.
     pub fn degree(&self, v: VertexId) -> u64 {
-        self.csr.degree(v)
+        self.csr().degree(v)
     }
 
     /// Number of vertices in the graph.
     pub fn num_vertices(&self) -> u64 {
-        self.csr.num_vertices()
+        self.csr().num_vertices()
     }
 
     /// A per-thread neighbor-read scratch wired for this scenario: the
@@ -627,7 +636,7 @@ impl ScenarioData {
 
     /// BFS status-data size in bytes (Table II row 3).
     pub fn status_bytes(&self) -> u64 {
-        status_data_bytes(self.csr.num_vertices(), self.partition.num_domains())
+        status_data_bytes(self.csr().num_vertices(), self.partition.num_domains())
     }
 
     /// Augment a caller config with the scenario's device (merge-aware

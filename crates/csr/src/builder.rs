@@ -1,22 +1,20 @@
-//! Parallel CSR construction from (possibly external) edge lists.
+//! CSR construction from (possibly external) edge lists: a counting sort.
 //!
-//! Two passes over the edge list, both chunk-parallel: count per-vertex
-//! degrees with relaxed atomics, prefix-sum into the index array, then
-//! scatter neighbors through per-vertex atomic cursors. The edge list is
-//! only ever *streamed*, so construction works identically whether the
-//! list sits in DRAM or on (simulated) NVM — exactly the paper's Step 2,
-//! which builds both graphs "by directly reading the edge list from NVM".
-//! Every adjacency list is then sorted ascending: the bottom-up kernel's
-//! first frontier hit is the smallest frontier neighbour only on sorted
-//! lists (see [`CsrGraph`]).
-
-use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
+//! Four serial passes, none with atomics or a sort: count per-vertex
+//! degrees while streaming the list, prefix-sum them into the index
+//! array, stream the list again to scatter both directions of every edge
+//! into unsorted rows, then transpose (see [`sorted_transpose`]): walking
+//! the sources in ascending order and appending each to its targets' rows
+//! leaves every row sorted ascending, which the bottom-up kernel's first
+//! frontier hit relies on (see [`CsrGraph`]). The edge list is only ever
+//! *streamed*, so construction works identically whether the list sits
+//! in DRAM or on (simulated) NVM — exactly the paper's Step 2, which
+//! builds both graphs "by directly reading the edge list from NVM".
 
 use sembfs_graph500::edge_list::EdgeList;
 use sembfs_semext::Result;
 
-use crate::graph::{sort_rows, CsrGraph};
-use crate::VertexId;
+use crate::graph::{sorted_transpose, zeroed_in_order, CsrGraph};
 
 /// Options controlling CSR construction.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -28,7 +26,7 @@ pub struct BuildOptions {
     /// No effect: adjacency is always sorted.
     #[deprecated(note = "adjacency is always sorted")]
     pub sort_neighbors: bool,
-    /// Edge-list chunk size (edges per parallel task).
+    /// Edges per chunk streamed from the edge list.
     pub chunk_edges: usize,
 }
 
@@ -47,48 +45,38 @@ impl Default for BuildOptions {
 /// edge list.
 pub fn build_csr(edges: &dyn EdgeList, opts: BuildOptions) -> Result<CsrGraph> {
     let n = edges.num_vertices() as usize;
+    let keep = |u, v| !(opts.drop_self_loops && u == v);
 
-    // Pass 1: degree count.
-    let counts: Vec<AtomicU32> = (0..n).map(|_| AtomicU32::new(0)).collect();
-    edges.par_visit_chunks(opts.chunk_edges, &|_, chunk| {
-        for &(u, v) in chunk {
-            if opts.drop_self_loops && u == v {
-                continue;
-            }
-            counts[u as usize].fetch_add(1, Ordering::Relaxed);
-            counts[v as usize].fetch_add(1, Ordering::Relaxed);
+    // Pass 1: degree count, vertex v's at index[v + 1].
+    let mut index: Vec<u64> = zeroed_in_order(n + 1);
+    edges.visit_chunks(opts.chunk_edges, &mut |chunk| {
+        for &(u, v) in chunk.iter().filter(|&&(u, v)| keep(u, v)) {
+            index[u as usize + 1] += 1;
+            index[v as usize + 1] += 1;
         }
         Ok(())
     })?;
 
-    // Prefix sum → index array.
-    let mut index = Vec::with_capacity(n + 1);
-    index.push(0u64);
-    let mut acc = 0u64;
-    for c in &counts {
-        acc += c.load(Ordering::Relaxed) as u64;
-        index.push(acc);
+    // Pass 2: prefix sum.
+    for v in 0..n {
+        index[v + 1] += index[v];
     }
-    let total = acc as usize;
 
-    // Pass 2: scatter through per-vertex cursors.
-    let cursors: Vec<AtomicU64> = index[..n].iter().map(|&off| AtomicU64::new(off)).collect();
-    let values: Vec<AtomicU32> = (0..total).map(|_| AtomicU32::new(0)).collect();
-    edges.par_visit_chunks(opts.chunk_edges, &|_, chunk| {
-        for &(u, v) in chunk {
-            if opts.drop_self_loops && u == v {
-                continue;
-            }
-            let pu = cursors[u as usize].fetch_add(1, Ordering::Relaxed);
-            values[pu as usize].store(v, Ordering::Relaxed);
-            let pv = cursors[v as usize].fetch_add(1, Ordering::Relaxed);
-            values[pv as usize].store(u, Ordering::Relaxed);
+    // Pass 3: scatter both directions into unsorted rows.
+    let mut cursor = index[..n].to_vec();
+    let mut values = vec![0; index[n] as usize];
+    edges.visit_chunks(opts.chunk_edges, &mut |chunk| {
+        for &(u, v) in chunk.iter().filter(|&&(u, v)| keep(u, v)) {
+            values[cursor[u as usize] as usize] = v;
+            cursor[u as usize] += 1;
+            values[cursor[v as usize] as usize] = u;
+            cursor[v as usize] += 1;
         }
         Ok(())
     })?;
 
-    let mut values: Vec<VertexId> = values.into_iter().map(AtomicU32::into_inner).collect();
-    sort_rows(&index, &mut values);
+    // Pass 4: the transpose has the same rows, each ascending.
+    let values = sorted_transpose(&index, &values);
     Ok(CsrGraph::new(index, values))
 }
 
@@ -184,11 +172,62 @@ mod tests {
         assert_eq!(g.num_values(), 0);
     }
 
+    /// The build before the counting sort: atomic degree counts, an
+    /// atomic scatter, then every row sorted.
+    fn atomic_scatter_then_sort(n: usize, edges: &[(u32, u32)], drop_self_loops: bool) -> CsrGraph {
+        use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
+        let edges = || {
+            edges
+                .iter()
+                .filter(move |&&(u, v)| !(drop_self_loops && u == v))
+        };
+        let counts: Vec<AtomicU64> = (0..n).map(|_| AtomicU64::new(0)).collect();
+        for &(u, v) in edges() {
+            counts[u as usize].fetch_add(1, Relaxed);
+            counts[v as usize].fetch_add(1, Relaxed);
+        }
+        let mut index = vec![0u64];
+        for c in &counts {
+            index.push(index.last().unwrap() + c.load(Relaxed));
+        }
+        let cursors: Vec<AtomicU64> = index[..n].iter().map(|&o| AtomicU64::new(o)).collect();
+        let mut values = vec![0u32; index[n] as usize];
+        for &(u, v) in edges() {
+            values[cursors[u as usize].fetch_add(1, Relaxed) as usize] = v;
+            values[cursors[v as usize].fetch_add(1, Relaxed) as usize] = u;
+        }
+        for w in index.windows(2) {
+            values[w[0] as usize..w[1] as usize].sort_unstable();
+        }
+        CsrGraph::new(index, values)
+    }
+
     mod properties {
         use super::*;
         use proptest::prelude::*;
 
         proptest! {
+            /// The counting sort builds exactly what the atomic scatter and
+            /// row sort built: self-loops, duplicates and isolated
+            /// vertices included, for any chunk size.
+            #[test]
+            fn counting_sort_equals_atomic_scatter_and_sort(
+                n in 1u32..60,
+                raw in proptest::collection::vec((0u32..1000, 0u32..1000), 0..300),
+                drop_self_loops: bool,
+                chunk_edges in 1usize..400,
+            ) {
+                let edges: Vec<(u32, u32)> = raw.iter().map(|&(u, v)| (u % n, v % n)).collect();
+                let el = MemEdgeList::new(n.into(), edges.clone());
+                let opts = BuildOptions {
+                    drop_self_loops,
+                    chunk_edges,
+                    ..Default::default()
+                };
+                let g = build_csr(&el, opts).unwrap();
+                prop_assert_eq!(g, atomic_scatter_then_sort(n as usize, &edges, drop_self_loops));
+            }
+
             /// Every input edge appears in both adjacency lists, and the
             /// total value count is exactly twice the edge count.
             #[test]

@@ -21,7 +21,7 @@ use sembfs_numa::RangePartition;
 use sembfs_semext::ext_csr::{write_csr_files, ExtCsr};
 use sembfs_semext::{ReadAt, Result};
 
-use crate::graph::{split_rows, CsrGraph};
+use crate::graph::CsrGraph;
 use crate::neighbors::{DomainNeighbors, NeighborCtx};
 use crate::VertexId;
 
@@ -33,61 +33,33 @@ pub struct DramForwardGraph {
 }
 
 impl DramForwardGraph {
-    /// Build from a full undirected CSR by splitting every adjacency list
-    /// by destination domain (parallel over vertices).
+    /// Build from a full undirected CSR by cutting every (ascending)
+    /// adjacency list at the domain boundaries; domains in parallel.
     pub fn from_csr(csr: &CsrGraph, partition: &RangePartition) -> Self {
-        let n = csr.num_vertices() as usize;
-        let l = partition.num_domains();
         assert_eq!(partition.num_vertices(), csr.num_vertices());
-
-        // Per-domain degree of each vertex (no atomics: one writer per v).
-        let mut counts: Vec<Vec<u32>> = (0..l).map(|_| vec![0u32; n]).collect();
-        {
-            // Count in parallel over vertices, writing column v of each
-            // domain row; transpose-free via per-vertex local counting.
-            let counts_cols: Vec<Vec<u32>> = (0..n)
-                .into_par_iter()
-                .map(|v| {
-                    let mut local = vec![0u32; l];
-                    for &w in csr.neighbors(v as VertexId) {
-                        local[partition.domain_of(w as u64)] += 1;
-                    }
-                    local
-                })
-                .collect();
-            for (v, local) in counts_cols.iter().enumerate() {
-                for (k, &c) in local.iter().enumerate() {
-                    counts[k][v] = c;
-                }
-            }
-        }
-
-        let domains: Vec<CsrGraph> = (0..l)
+        let n = csr.num_vertices() as usize;
+        let domains = (0..partition.num_domains())
             .into_par_iter()
             .map(|k| {
+                // Row v's neighbours inside domain k's vertex range.
+                let range = partition.range(k);
+                let slice = |v: usize| {
+                    let row = csr.neighbors(v as VertexId);
+                    let lo = row.partition_point(|&w| u64::from(w) < range.start);
+                    let hi = row.partition_point(|&w| u64::from(w) < range.end);
+                    &row[lo..hi]
+                };
                 let mut index = Vec::with_capacity(n + 1);
                 index.push(0u64);
                 let mut acc = 0u64;
-                for &c in &counts[k][..n] {
-                    acc += c as u64;
+                for v in 0..n {
+                    acc += slice(v).len() as u64;
                     index.push(acc);
                 }
-                let mut values = vec![0 as VertexId; acc as usize];
-                // Fill per vertex into disjoint ranges; filtering a sorted
-                // row keeps it sorted.
-                split_rows(&index, &mut values)
-                    .par_iter_mut()
-                    .enumerate()
-                    .for_each(|(v, out)| {
-                        let mut pos = 0;
-                        for &w in csr.neighbors(v as VertexId) {
-                            if partition.domain_of(w as u64) == k {
-                                out[pos] = w;
-                                pos += 1;
-                            }
-                        }
-                        debug_assert_eq!(pos, out.len());
-                    });
+                let mut values = Vec::with_capacity(acc as usize);
+                for v in 0..n {
+                    values.extend_from_slice(slice(v));
+                }
                 CsrGraph::new(index, values)
             })
             .collect();
@@ -430,6 +402,40 @@ mod tests {
         for v in 0..8u32 {
             let ns = fg.with_neighbors(0, v, &mut ctx, |ns| ns.to_vec()).unwrap();
             assert_eq!(ns, csr.neighbors(v));
+        }
+    }
+
+    mod properties {
+        use super::*;
+        use proptest::prelude::*;
+
+        proptest! {
+            /// Cutting sorted rows at the domain boundaries yields what a
+            /// per-edge `domain_of` filter does, for any domain count and
+            /// vertex counts not divisible by it.
+            #[test]
+            fn cut_points_equal_per_edge_filter(
+                n in 1u32..70,
+                raw in proptest::collection::vec((0u32..1000, 0u32..1000), 0..300),
+                domains in 1usize..=8,
+            ) {
+                let edges = raw.iter().map(|&(u, v)| (u % n, v % n)).collect();
+                let csr = build_csr(&MemEdgeList::new(n.into(), edges), BuildOptions::default()).unwrap();
+                let part = RangePartition::new(n.into(), domains);
+                let fg = DramForwardGraph::from_csr(&csr, &part);
+                for k in 0..domains {
+                    let rows: Vec<Vec<VertexId>> = (0..n)
+                        .map(|v| {
+                            csr.neighbors(v)
+                                .iter()
+                                .copied()
+                                .filter(|&w| part.domain_of(w.into()) == k)
+                                .collect()
+                        })
+                        .collect();
+                    prop_assert_eq!(fg.domain(k), &CsrGraph::from_adjacency(&rows));
+                }
+            }
         }
     }
 }

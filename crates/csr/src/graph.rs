@@ -1,7 +1,5 @@
 //! The in-memory CSR representation (§V-B1, Fig. 5).
 
-use rayon::prelude::*;
-
 use crate::VertexId;
 
 /// A CSR adjacency structure in DRAM: an *index* array of `n + 1` offsets
@@ -53,10 +51,11 @@ impl CsrGraph {
         index.push(0u64);
         let mut values = Vec::new();
         for list in adj {
+            let start = values.len();
             values.extend_from_slice(list);
+            values[start..].sort_unstable();
             index.push(values.len() as u64);
         }
-        sort_rows(&index, &mut values);
         Self::new(index, values)
     }
 
@@ -112,23 +111,36 @@ impl CsrGraph {
     }
 }
 
-/// Split a CSR value array into its rows, one mutable slice per vertex.
-pub(crate) fn split_rows<'a>(index: &[u64], values: &'a mut [VertexId]) -> Vec<&'a mut [VertexId]> {
-    let mut rows = Vec::with_capacity(index.len().saturating_sub(1));
-    let mut rest = values;
-    for w in index.windows(2) {
-        let (row, tail) = rest.split_at_mut((w[1] - w[0]) as usize);
-        rows.push(row);
-        rest = tail;
+/// The value array of a *symmetric* CSR with every row ascending: its
+/// transpose. Walking the sources in ascending order and appending each
+/// one to the rows of its targets fills every row in ascending order;
+/// symmetry makes row `w` of the transpose the same multiset as row `w`
+/// of the input, so `index` serves both.
+///
+/// # Panics
+/// Panics when the graph is not symmetric (a transposed row length
+/// differs from the input's).
+pub(crate) fn sorted_transpose(index: &[u64], values: &[VertexId]) -> Vec<VertexId> {
+    let n = index.len() - 1;
+    let mut cursor = index[..n].to_vec();
+    let mut out = zeroed_in_order(values.len());
+    for (u, row) in index.windows(2).enumerate() {
+        for &w in &values[row[0] as usize..row[1] as usize] {
+            let c = &mut cursor[w as usize];
+            out[*c as usize] = u as VertexId;
+            *c += 1;
+        }
     }
-    rows
+    assert!(cursor == index[1..], "transpose needs a symmetric graph");
+    out
 }
 
-/// Sort every row of a CSR value array ascending, rows in parallel.
-pub(crate) fn sort_rows(index: &[u64], values: &mut [VertexId]) {
-    split_rows(index, values)
-        .par_iter_mut()
-        .for_each(|row| row.sort_unstable());
+/// `len` zeros, written in address order. A `vec![0; len]` is left to
+/// fault in wherever it is first written, and CSR arrays whose pages
+/// were first touched in scatter order made every later bottom-up scan
+/// of them measurably slower.
+pub(crate) fn zeroed_in_order<T: Default>(len: usize) -> Vec<T> {
+    (0..len).map(|_| T::default()).collect()
 }
 
 #[cfg(test)]
@@ -182,6 +194,21 @@ mod tests {
     #[should_panic(expected = "final entry must equal")]
     fn inconsistent_rejected() {
         CsrGraph::new(vec![0, 5], vec![1, 2]);
+    }
+
+    #[test]
+    fn transpose_sorts_symmetric_rows() {
+        // 0–1, 0–2, 1–2 and a self-loop on 2, rows scattered out of order.
+        let index = [0, 2, 4, 8];
+        let values = [2, 1, 2, 0, 2, 1, 0, 2];
+        assert_eq!(sorted_transpose(&index, &values), [1, 2, 0, 2, 0, 1, 2, 2]);
+    }
+
+    #[test]
+    #[should_panic(expected = "symmetric")]
+    fn transpose_rejects_asymmetric_graph() {
+        // 1 → 0 without 0 → 1.
+        sorted_transpose(&[0, 0, 2], &[0, 1]);
     }
 
     #[test]

@@ -11,7 +11,7 @@
 
 use rayon::prelude::*;
 
-use crate::graph::{split_rows, CsrGraph};
+use crate::graph::{sorted_transpose, CsrGraph};
 use crate::VertexId;
 
 /// A vertex renaming: `new_id = perm[old_id]`, with its inverse.
@@ -80,31 +80,23 @@ impl Relabeling {
         self.inv[new as usize]
     }
 
-    /// Rewrite a CSR under this relabeling: row `new` holds the renamed
-    /// neighbors of `old_id(new)`, re-sorted ascending.
+    /// Rewrite a symmetric CSR (what [`build_csr`](crate::build_csr)
+    /// yields) under this relabeling: row `new` holds the renamed
+    /// neighbors of `old_id(new)`, ascending.
+    ///
+    /// # Panics
+    /// Panics when `csr` is not symmetric.
     pub fn apply_to_csr(&self, csr: &CsrGraph) -> CsrGraph {
-        let n = csr.num_vertices() as usize;
-        assert_eq!(n, self.len());
-        let mut index = Vec::with_capacity(n + 1);
+        assert_eq!(csr.num_vertices() as usize, self.len());
+        let mut index = Vec::with_capacity(self.len() + 1);
         index.push(0u64);
-        let mut acc = 0u64;
-        for new in 0..n {
-            acc += csr.degree(self.inv[new]);
-            index.push(acc);
+        let mut values = Vec::with_capacity(csr.num_values() as usize);
+        for &old in &self.inv {
+            values.extend(csr.neighbors(old).iter().map(|&w| self.perm[w as usize]));
+            index.push(values.len() as u64);
         }
-        let mut values = vec![0 as VertexId; acc as usize];
-        // Disjoint per-row output slices filled in parallel. Renaming
-        // scrambles the order, so each row is sorted again.
-        split_rows(&index, &mut values)
-            .par_iter_mut()
-            .enumerate()
-            .for_each(|(new, out)| {
-                let old = self.inv[new];
-                for (slot, &w) in out.iter_mut().zip(csr.neighbors(old)) {
-                    *slot = self.perm[w as usize];
-                }
-                out.sort_unstable();
-            });
+        // Renaming scrambles each row's order; the transpose restores it.
+        let values = sorted_transpose(&index, &values);
         CsrGraph::new(index, values)
     }
 

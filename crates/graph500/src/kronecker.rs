@@ -88,24 +88,34 @@ impl KroneckerParams {
         self.edge_with(i, &self.scrambler())
     }
 
-    /// Generate edge `i` reusing a precomputed scrambler (hot path).
-    #[inline]
+    /// Generate edge `i` reusing a precomputed scrambler.
     pub fn edge_with(&self, i: u64, s: &Scrambler) -> (VertexId, VertexId) {
+        self.edge_at(i, s, &self.thresholds())
+    }
+
+    /// The initiator as integer thresholds on a 53-bit draw `k`:
+    /// `k·2⁻⁵³ < p ⇔ k < ⌈p·2⁵³⌉`, so comparing `k` picks exactly the
+    /// quadrant the `f64` draw would.
+    ///
+    /// # Panics
+    /// Panics unless `a, b, c, d ≥ 0` and they sum to 1.
+    fn thresholds(&self) -> [u64; 3] {
+        let Self { a, b, c, d, .. } = *self;
+        assert!(
+            a >= 0.0 && b >= 0.0 && c >= 0.0 && d >= 0.0 && (a + b + c + d - 1.0).abs() < 1e-9,
+            "Kronecker initiator must be non-negative and sum to 1, got ({a}, {b}, {c}, {d})"
+        );
+        let t = |p: f64| (p * (1u64 << 53) as f64).ceil() as u64;
+        [t(a), t(a + b), t(a + b + c)]
+    }
+
+    /// Edge `i` with the quadrant picked branch-free from the thresholds.
+    #[inline]
+    fn edge_at(&self, i: u64, s: &Scrambler, t: &[u64; 3]) -> (VertexId, VertexId) {
         let mut rng = Xoshiro256::seed_from(self.seed, i);
         let (mut u, mut v) = (0u64, 0u64);
-        let ab = self.a + self.b;
-        let abc = ab + self.c;
         for _ in 0..self.scale {
-            let r = rng.next_f64();
-            let (bit_u, bit_v) = if r < self.a {
-                (0, 0)
-            } else if r < ab {
-                (0, 1)
-            } else if r < abc {
-                (1, 0)
-            } else {
-                (1, 1)
-            };
+            let (bit_u, bit_v) = quadrant(rng.next_u64() >> 11, t);
             u = (u << 1) | bit_u;
             v = (v << 1) | bit_v;
         }
@@ -118,24 +128,32 @@ impl KroneckerParams {
 
     /// Generate the full edge list in parallel into DRAM.
     pub fn generate(&self) -> MemEdgeList {
-        let m = self.num_edges();
-        let s = self.scrambler();
-        let edges: Vec<(VertexId, VertexId)> = (0..m)
-            .into_par_iter()
-            .map(|i| self.edge_with(i, &s))
-            .collect();
-        MemEdgeList::new(self.num_vertices(), edges)
+        MemEdgeList::new(
+            self.num_vertices(),
+            self.generate_range(0, self.num_edges()),
+        )
     }
 
     /// Generate edges `[start, end)` in parallel (for chunked/streaming
     /// generation when the full list must not be materialized).
     pub fn generate_range(&self, start: u64, end: u64) -> Vec<(VertexId, VertexId)> {
         let s = self.scrambler();
-        (start..end)
-            .into_par_iter()
-            .map(|i| self.edge_with(i, &s))
-            .collect()
+        let t = self.thresholds();
+        let mut edges = vec![(0, 0); end.saturating_sub(start) as usize];
+        edges
+            .par_iter_mut()
+            .enumerate()
+            .for_each(|(j, e)| *e = self.edge_at(start + j as u64, &s, &t));
+        edges
     }
+}
+
+/// The quadrant bits `(row, column)` a 53-bit draw `k` picks: A `(0, 0)`
+/// below `t_a`, B `(0, 1)` below `t_ab`, C `(1, 0)` below `t_abc`, else D.
+#[inline]
+fn quadrant(k: u64, &[t_a, t_ab, t_abc]: &[u64; 3]) -> (u64, u64) {
+    let bit_u = u64::from(k >= t_ab);
+    (bit_u, u64::from(k >= t_a) ^ bit_u ^ u64::from(k >= t_abc))
 }
 
 #[cfg(test)]
@@ -214,11 +232,98 @@ mod tests {
         assert!((0.4..0.6).contains(&ratio), "direction bias: {ratio}");
     }
 
+    /// The quadrant pick before integer thresholds: an `f64` draw against
+    /// the initiator's running sums (the oracle for [`quadrant`]).
+    fn quadrant_f64(p: &KroneckerParams, r: f64) -> (u64, u64) {
+        let ab = p.a + p.b;
+        let abc = ab + p.c;
+        if r < p.a {
+            (0, 0)
+        } else if r < ab {
+            (0, 1)
+        } else if r < abc {
+            (1, 0)
+        } else {
+            (1, 1)
+        }
+    }
+
+    /// Edge `i` as generated with the `f64` branch chain.
+    fn edge_branch_chain(p: &KroneckerParams, i: u64) -> (VertexId, VertexId) {
+        let s = p.scrambler();
+        let mut rng = Xoshiro256::seed_from(p.seed, i);
+        let (mut u, mut v) = (0u64, 0u64);
+        for _ in 0..p.scale {
+            let (bit_u, bit_v) = quadrant_f64(p, rng.next_f64());
+            u = (u << 1) | bit_u;
+            v = (v << 1) | bit_v;
+        }
+        let (mut u, mut v) = (s.apply(u), s.apply(v));
+        if rng.next_bool() {
+            std::mem::swap(&mut u, &mut v);
+        }
+        (u as VertexId, v as VertexId)
+    }
+
+    #[test]
+    fn thresholds_pick_like_f64_draws_at_every_boundary() {
+        // The Graph500 sums lie in [0.5, 1), so p·2⁵³ is an integer; the
+        // second initiator's are not, which only the ceiling gets right.
+        let graph500 = KroneckerParams::graph500(10, 1);
+        let uneven = KroneckerParams {
+            a: 0.1,
+            b: 0.2,
+            c: 0.3,
+            d: 0.4,
+            ..graph500
+        };
+        for p in [graph500, uneven] {
+            let t = p.thresholds();
+            for &edge in &t {
+                for k in [edge - 1, edge, edge + 1] {
+                    let r = k as f64 / (1u64 << 53) as f64;
+                    assert_eq!(quadrant(k, &t), quadrant_f64(&p, r), "{p:?}, draw {k}");
+                }
+            }
+            assert_eq!(quadrant(0, &t), (0, 0));
+            assert_eq!(quadrant((1 << 53) - 1, &t), (1, 1));
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "initiator must be non-negative and sum to 1")]
+    fn initiator_summing_above_one_rejected() {
+        let p = KroneckerParams {
+            a: 0.6,
+            ..KroneckerParams::graph500(4, 1)
+        };
+        p.generate();
+    }
+
+    #[test]
+    #[should_panic(expected = "initiator must be non-negative and sum to 1")]
+    fn negative_initiator_rejected() {
+        let p = KroneckerParams {
+            c: 0.29,
+            d: -0.05,
+            ..KroneckerParams::graph500(4, 1)
+        };
+        p.edge(0);
+    }
+
     mod properties {
         use super::*;
         use proptest::prelude::*;
 
         proptest! {
+            /// Integer thresholds pick the same quadrants, hence the same
+            /// edges, as the `f64` branch chain.
+            #[test]
+            fn edge_with_matches_branch_chain(scale in 1u32..=32, seed: u64, i: u64) {
+                let p = KroneckerParams::graph500(scale, seed);
+                prop_assert_eq!(p.edge_with(i, &p.scrambler()), edge_branch_chain(&p, i));
+            }
+
             /// Per-edge generation is stable and in-range for any seed.
             #[test]
             fn edge_reproducible(scale in 1u32..16, seed: u64, i in 0u64..10_000) {

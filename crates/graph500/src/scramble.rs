@@ -26,11 +26,7 @@ impl Scrambler {
     /// Panics unless `1 <= scale <= 32`.
     pub fn new(scale: u32, seed: u64) -> Self {
         assert!((1..=32).contains(&scale), "scale must be in 1..=32");
-        let mask = if scale == 64 {
-            u64::MAX
-        } else {
-            (1u64 << scale) - 1
-        };
+        let mask = (1u64 << scale) - 1;
         // Odd multipliers are invertible mod 2^scale.
         let mul1 = (crate::rng::splitmix64(seed, 1) | 1) & mask | 1;
         let mul2 = (crate::rng::splitmix64(seed, 2) | 1) & mask | 1;
