@@ -1,64 +1,16 @@
-//! Microbenchmarks of the page-cache model and the batched (libaio-style)
-//! submission path.
+//! Microbenchmarks of the sharded page-cache model and the batched
+//! (libaio-style) submission path.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use sembfs_core::{hybrid_bfs, BfsConfig, Direction, FixedPolicy};
 use sembfs_csr::{build_csr, BackwardGraph, BuildOptions, DramForwardGraph, ExtForwardGraph};
 use sembfs_graph500::{select_roots, KroneckerParams};
 use sembfs_numa::RangePartition;
-use sembfs_semext::cache::PAGE_BYTES;
 use sembfs_semext::ext_csr::ExtCsr;
 use sembfs_semext::{
-    BatchRead, CachedStore, ChunkedReader, DelayMode, Device, DeviceProfile, DramBackend,
-    FileBackend, PageCache, ReadAt, ShardedCachedStore, ShardedPageCache, TempDir,
+    BatchRead, ChunkedReader, DelayMode, Device, DeviceProfile, DramBackend, FileBackend, ReadAt,
+    ShardedCachedStore, ShardedPageCache, TempDir, PAGE_BYTES,
 };
-
-fn bench_page_cache_access(c: &mut Criterion) {
-    let mut g = c.benchmark_group("page_cache_access");
-    // Hot: working set fits; every access is a hit.
-    let hot = PageCache::new(1024 * PAGE_BYTES);
-    let f = hot.register_file();
-    for p in 0..1024 {
-        hot.access(f, p);
-    }
-    let mut i = 0u64;
-    g.bench_function("hit", |b| {
-        b.iter(|| {
-            i = (i + 7) % 1024;
-            hot.access(f, i)
-        })
-    });
-    // Cold: working set 4× capacity; mostly misses with CLOCK eviction.
-    let cold = PageCache::new(256 * PAGE_BYTES);
-    let f2 = cold.register_file();
-    let mut j = 0u64;
-    g.bench_function("miss_evict", |b| {
-        b.iter(|| {
-            j = (j + 13) % 1024;
-            cold.access(f2, j)
-        })
-    });
-    g.finish();
-}
-
-fn bench_cached_store_read(c: &mut Criterion) {
-    let data = vec![3u8; 4 << 20];
-    let dev = Device::new(DeviceProfile::iodrive2(), DelayMode::Accounting);
-    let cache = PageCache::new(8 << 20);
-    let store = CachedStore::new(DramBackend::new(data), dev, cache);
-    store.warm();
-    let mut g = c.benchmark_group("cached_store");
-    g.throughput(Throughput::Bytes(4096));
-    let mut buf = vec![0u8; 4096];
-    let mut off = 0u64;
-    g.bench_function("warm_4k_read", |b| {
-        b.iter(|| {
-            off = (off + 8192) % ((4 << 20) - 4096);
-            store.read_at(off, &mut buf).unwrap();
-        })
-    });
-    g.finish();
-}
 
 fn bench_batch_vs_loop(c: &mut Criterion) {
     let data = vec![9u8; 1 << 20];
@@ -113,8 +65,7 @@ fn hammer<S: ReadAt + Sync>(store: &S, threads: u64, reads: usize, span: u64) {
     });
 }
 
-/// Seed cache (charge-only: every "hit" still reads the backing file)
-/// vs sharded cache (data-holding slots: hits are served from DRAM)
+/// The sharded cache (data-holding slots: hits are served from DRAM)
 /// under concurrent 4 KiB reads of a warm file-backed store — the Fig. 9
 /// spare-DRAM regime where the working set fits the cache.
 fn bench_concurrent_cache_frontends(c: &mut Criterion) {
@@ -130,17 +81,6 @@ fn bench_concurrent_cache_frontends(c: &mut Criterion) {
     g.throughput(Throughput::Bytes(THREADS * READS as u64 * PAGE_BYTES));
 
     let dev = Device::new(DeviceProfile::iodrive2(), DelayMode::Accounting);
-    let seed = CachedStore::new(
-        FileBackend::open(&path).unwrap(),
-        dev,
-        PageCache::new(bytes),
-    );
-    seed.warm();
-    g.bench_function("seed_single_lock", |b| {
-        b.iter(|| hammer(&seed, THREADS, READS, span))
-    });
-
-    let dev = Device::new(DeviceProfile::iodrive2(), DelayMode::Accounting);
     // A little slack over the file size: pages hash unevenly over the
     // stripes, and an exactly-sized sharded cache would evict at the hot
     // stripes.
@@ -153,13 +93,12 @@ fn bench_concurrent_cache_frontends(c: &mut Criterion) {
     g.finish();
 }
 
-/// The acceptance bench: a multi-threaded external-forward BFS over a
-/// SCALE ≥ 20 Kronecker graph on a simulated device, seed cache vs
-/// sharded cache fronting the same on-disk forward CSR. The budget
-/// covers the offloaded bytes (the paper's SCALE 26/Fig. 9 spare-DRAM
-/// regime): the seed cache still issues a `pread(2)` for every neighbor
-/// chunk — it only waives the device *charge* — while the sharded
-/// cache's data-holding slots serve the whole traversal from DRAM.
+/// A multi-threaded top-down BFS over a SCALE 20 Kronecker graph whose
+/// forward CSR sits on a simulated device behind the sharded cache. The
+/// budget covers the offloaded bytes (the paper's SCALE 26/Fig. 9
+/// spare-DRAM regime), so the cache's data-holding slots serve the whole
+/// traversal from DRAM through the page-windowed reads every cached
+/// workload runs.
 fn bench_ext_bfs_cache_frontend(c: &mut Criterion) {
     let scale: u32 = std::env::var("BENCH_BFS_SCALE")
         .ok()
@@ -189,62 +128,33 @@ fn bench_ext_bfs_cache_frontend(c: &mut Criterion) {
     g.sample_size(10);
     g.throughput(Throughput::Elements(csr.num_values() / 2));
 
-    {
-        let dev = Device::new(DeviceProfile::iodrive2(), DelayMode::Accounting);
-        let cache = PageCache::new(budget);
-        let domains = paths
-            .iter()
-            .map(|(ip, vp)| {
-                let index = CachedStore::new(FileBackend::open(ip)?, dev.clone(), cache.clone());
-                let values = CachedStore::new(FileBackend::open(vp)?, dev.clone(), cache.clone());
-                index.warm();
-                values.warm();
-                ExtCsr::new(index, values)
-            })
-            .collect::<Result<Vec<_>, _>>()
-            .unwrap();
-        let forward = ExtForwardGraph::new(domains, partition.clone());
-        let cfg = BfsConfig::paper()
-            .with_aggregation()
-            .with_reader(ChunkedReader::for_device(&dev));
-        g.bench_function("seed_cache", |b| {
-            b.iter(|| hybrid_bfs(&forward, &backward, root, &policy, &cfg).unwrap())
-        });
-    }
-
-    {
-        let dev = Device::new(DeviceProfile::iodrive2(), DelayMode::Accounting);
-        let cache = ShardedPageCache::new(budget);
-        cache.set_readahead_pages(4);
-        let domains = paths
-            .iter()
-            .map(|(ip, vp)| {
-                let index =
-                    ShardedCachedStore::new(FileBackend::open(ip)?, dev.clone(), cache.clone());
-                let values =
-                    ShardedCachedStore::new(FileBackend::open(vp)?, dev.clone(), cache.clone());
-                index.warm()?;
-                values.warm()?;
-                ExtCsr::new(index, values)
-            })
-            .collect::<Result<Vec<_>, _>>()
-            .unwrap();
-        let forward = ExtForwardGraph::new(domains, partition.clone());
-        let cfg = BfsConfig::paper()
-            .with_aggregation()
-            .with_reader(ChunkedReader::for_device(&dev))
-            .with_cache_monitor(cache.clone());
-        g.bench_function("sharded_cache", |b| {
-            b.iter(|| hybrid_bfs(&forward, &backward, root, &policy, &cfg).unwrap())
-        });
-    }
+    let dev = Device::new(DeviceProfile::iodrive2(), DelayMode::Accounting);
+    let cache = ShardedPageCache::new(budget);
+    cache.set_readahead_pages(4);
+    let domains = paths
+        .iter()
+        .map(|(ip, vp)| {
+            let index = ShardedCachedStore::new(FileBackend::open(ip)?, dev.clone(), cache.clone());
+            let values =
+                ShardedCachedStore::new(FileBackend::open(vp)?, dev.clone(), cache.clone());
+            index.warm()?;
+            values.warm()?;
+            ExtCsr::new(index, values)
+        })
+        .collect::<Result<Vec<_>, _>>()
+        .unwrap();
+    let forward = ExtForwardGraph::new(domains, partition.clone());
+    let cfg = BfsConfig::paper()
+        .with_reader(ChunkedReader::for_device(&dev))
+        .with_cache_monitor(cache.clone());
+    g.bench_function("sharded_cache", |b| {
+        b.iter(|| hybrid_bfs(&forward, &backward, root, &policy, &cfg).unwrap())
+    });
     g.finish();
 }
 
 criterion_group!(
     benches,
-    bench_page_cache_access,
-    bench_cached_store_read,
     bench_batch_vs_loop,
     bench_concurrent_cache_frontends,
     bench_ext_bfs_cache_frontend

@@ -47,12 +47,6 @@ pub struct BfsConfig {
     /// Page cache fronting the forward graph's stores: its counters are
     /// snapshotted per level ([`LevelStats::cache`]).
     pub cache_monitor: Option<Arc<ShardedPageCache>>,
-    /// Re-budget the monitored cache to this many bytes before the run
-    /// (spare-DRAM sweeps; `None` keeps the cache's current budget).
-    pub cache_capacity_bytes: Option<u64>,
-    /// Set the monitored cache's sequential readahead window, in pages
-    /// (`None` keeps the current window).
-    pub cache_readahead_pages: Option<usize>,
     /// Worker threads of the step kernels (`0` runs one). The parent tree
     /// is bit-identical to [`crate::reference_bfs`] at any count.
     pub threads: usize,
@@ -79,8 +73,6 @@ impl BfsConfig {
             count_frontier_edges: false,
             aggregate_io: false,
             cache_monitor: None,
-            cache_capacity_bytes: None,
-            cache_readahead_pages: None,
             threads,
             numa_counters: None,
         }
@@ -119,18 +111,6 @@ impl BfsConfig {
     /// Attach a page-cache monitor (per-level counter deltas).
     pub fn with_cache_monitor(mut self, cache: Arc<ShardedPageCache>) -> Self {
         self.cache_monitor = Some(cache);
-        self
-    }
-
-    /// Re-budget the monitored cache before the run.
-    pub fn with_cache_capacity(mut self, bytes: u64) -> Self {
-        self.cache_capacity_bytes = Some(bytes);
-        self
-    }
-
-    /// Set the monitored cache's readahead window before the run.
-    pub fn with_cache_readahead(mut self, pages: usize) -> Self {
-        self.cache_readahead_pages = Some(pages);
         self
     }
 }
@@ -255,14 +235,6 @@ where
     assert!((root as u64) < n, "root out of range");
     let batch = if cfg.batch == 0 { 64 } else { cfg.batch };
     let threads = cfg.threads.max(1);
-    if let Some(cache) = &cfg.cache_monitor {
-        if let Some(bytes) = cfg.cache_capacity_bytes {
-            cache.set_capacity_bytes(bytes);
-        }
-        if let Some(pages) = cfg.cache_readahead_pages {
-            cache.set_readahead_pages(pages);
-        }
-    }
     let make_ctx = ctx_factory(cfg);
     let counters = cfg.numa_counters.as_deref();
     let tracer = sembfs_obs::global();

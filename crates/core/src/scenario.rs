@@ -11,7 +11,7 @@
 //! split the backward graph's cold tail onto the same device.
 //! [`ScenarioData::run`] then executes any policy's BFS over that layout.
 
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
 use sembfs_csr::backward::split_csr;
@@ -24,7 +24,7 @@ use sembfs_numa::{RangePartition, Topology};
 use sembfs_semext::ext_csr::{write_csr_files, ExtCsr};
 use sembfs_semext::{
     ChunkedReader, DelayMode, Device, DeviceProfile, FaultPlan, FileBackend, MmapBackend, NvmStore,
-    PageIntegrity, Result, ShardedCachedStore, ShardedPageCache, TempDir,
+    PageIntegrity, ReadAt, Result, ShardedCachedStore, ShardedPageCache, TempDir,
 };
 
 use crate::hybrid::{hybrid_bfs, hybrid_bfs_distances, BfsConfig, BfsRun, DistanceRun};
@@ -144,8 +144,10 @@ pub struct ScenarioOptions {
     /// Replace the scenario's device profile (for studies across device
     /// generations; ignored in the DRAM-only scenario).
     pub device_profile_override: Option<DeviceProfile>,
-    /// How offloaded files are read: the paper's explicit `read(2)` path
-    /// or `mmap(2)` (ablation; both are metered by the device model).
+    /// How every offloaded file (forward graph and §VI-E backward tail,
+    /// cached or not) is read: the paper's explicit `read(2)` path or
+    /// `mmap(2)` (ablation). The device model meters both alike, so the
+    /// choice never changes device counters.
     pub access_path: AccessPath,
     /// Model the OS page cache with this many bytes of spare DRAM: file
     /// pages of the offloaded forward graph are cached with CLOCK
@@ -220,18 +222,64 @@ pub enum AccessPath {
     Mmap,
 }
 
+/// Open the offloaded file at `path` as the scenario reads it: the
+/// backend of `options.access_path`, its page checksums sealed when
+/// `options.verify_pages`, metered on `device` ([`NvmStore`]) or fronted by
+/// `cache` ([`ShardedCachedStore`], warm: Step 2 just wrote the file
+/// through the kernel). The type is erased once, at the store, so each
+/// store call dispatches once and the store reaches its backend directly.
+fn open_store(
+    path: &Path,
+    options: &ScenarioOptions,
+    device: &Arc<Device>,
+    cache: Option<&Arc<ShardedPageCache>>,
+) -> Result<Arc<dyn ReadAt>> {
+    fn metered<B: ReadAt + 'static>(
+        backend: B,
+        verify: bool,
+        device: &Arc<Device>,
+        cache: Option<&Arc<ShardedPageCache>>,
+    ) -> Result<Arc<dyn ReadAt>> {
+        // The seal scans a file this process just wrote: DRAM traffic, not
+        // device traffic, so it reads the bare backend.
+        let sums = verify
+            .then(|| PageIntegrity::seal_store(&backend))
+            .transpose()?
+            .map(Arc::new);
+        Ok(match cache {
+            Some(cache) => {
+                let mut store = ShardedCachedStore::new(backend, device.clone(), cache.clone());
+                if let Some(sums) = sums {
+                    store = store.with_integrity(sums);
+                }
+                store.warm()?;
+                Arc::new(store)
+            }
+            None => {
+                let mut store = NvmStore::new(backend, device.clone());
+                if let Some(sums) = sums {
+                    store = store.with_integrity(sums);
+                }
+                Arc::new(store)
+            }
+        })
+    }
+    let verify = options.verify_pages;
+    match options.access_path {
+        AccessPath::Pread => metered(FileBackend::open(path)?, verify, device, cache),
+        AccessPath::Mmap => metered(MmapBackend::open(path)?, verify, device, cache),
+    }
+}
+
 /// Where the forward graph lives.
 #[derive(Debug)]
 pub enum ForwardStore {
     /// In DRAM (the DRAM-only scenario).
     Dram(DramForwardGraph),
-    /// On the scenario's simulated NVM device, read with `pread`.
-    Ext(ExtForwardGraph<NvmStore<FileBackend>>),
-    /// On the device, read through `mmap`.
-    ExtMmap(ExtForwardGraph<NvmStore<MmapBackend>>),
-    /// On the device, fronted by a modeled OS page cache (sharded, data-
-    /// holding; hits never touch the device).
-    ExtCached(ExtForwardGraph<ShardedCachedStore<FileBackend>>),
+    /// On the scenario's simulated NVM device, read with `pread` or
+    /// `mmap` ([`ScenarioOptions::access_path`]) and fronted by the modeled
+    /// OS page cache when one is configured.
+    Ext(ExtForwardGraph<Arc<dyn ReadAt>>),
 }
 
 /// Where the backward graph lives.
@@ -241,7 +289,7 @@ pub enum BackwardStore {
     /// scenario's full CSR, so the graph is held once.
     Dram(BackwardGraph),
     /// DRAM head + NVM tail (§VI-E).
-    Split(SplitBackwardGraph<NvmStore<FileBackend>>),
+    Split(SplitBackwardGraph<Arc<dyn ReadAt>>),
 }
 
 /// A fully constructed scenario: both graphs in their configured homes,
@@ -290,24 +338,19 @@ impl ScenarioData {
             }
         });
 
-        let needs_files = device.is_some();
-        let tempdir = if needs_files && options.data_dir.is_none() {
-            Some(TempDir::new("scenario")?)
-        } else if let Some(dir) = &options.data_dir {
+        // Offloaded files go to `data_dir`, or to a temp dir that lives as
+        // long as the scenario.
+        if let Some(dir) = &options.data_dir {
             std::fs::create_dir_all(dir)?;
-            None
-        } else {
-            None
+        }
+        let tempdir = match (&device, &options.data_dir) {
+            (Some(_), None) => Some(TempDir::new("scenario")?),
+            _ => None,
         };
-        let dir: Option<PathBuf> = if needs_files {
-            Some(match (&options.data_dir, &tempdir) {
-                (Some(d), _) => d.clone(),
-                (None, Some(t)) => t.path().to_path_buf(),
-                _ => unreachable!("files need a directory"),
-            })
-        } else {
-            None
-        };
+        let dir = options
+            .data_dir
+            .as_deref()
+            .or(tempdir.as_ref().map(TempDir::path));
 
         // Forward graph: build in DRAM, then offload when the scenario has
         // a device (§V-A Step 2: "construct the forward graph on DRAM …
@@ -323,127 +366,50 @@ impl ScenarioData {
             }
             _ => None,
         };
-        // Checksum sealing for a freshly written offload file. The seal
-        // reads through a bare `FileBackend` — the file was just written by
-        // this process, so the scan is DRAM traffic, not device traffic.
-        let seal = |path: &std::path::Path| -> Result<Option<Arc<PageIntegrity>>> {
-            if !options.verify_pages {
-                return Ok(None);
-            }
-            let sums = PageIntegrity::seal_store(&FileBackend::open(path)?)?;
-            Ok(Some(Arc::new(sums)))
-        };
         let fg_dram = DramForwardGraph::from_csr(&csr, &partition);
         let forward = match &device {
             None => ForwardStore::Dram(fg_dram),
             Some(dev) => {
-                let dir = dir.as_ref().expect("device implies directory");
+                let dir = dir.expect("device implies directory");
                 let paths = fg_dram.write_to_dir(dir)?;
                 drop(fg_dram);
-                match &page_cache {
-                    None if options.access_path == AccessPath::Mmap => {
-                        let domains = paths
-                            .iter()
-                            .map(|(ip, vp)| {
-                                let mut index = NvmStore::new(MmapBackend::open(ip)?, dev.clone());
-                                let mut values = NvmStore::new(MmapBackend::open(vp)?, dev.clone());
-                                if let Some(sums) = seal(ip)? {
-                                    index = index.with_integrity(sums);
-                                }
-                                if let Some(sums) = seal(vp)? {
-                                    values = values.with_integrity(sums);
-                                }
-                                ExtCsr::new(index, values)
-                            })
-                            .collect::<Result<Vec<_>>>()?;
-                        let ext = ExtForwardGraph::new(domains, partition.clone());
-                        ForwardStore::ExtMmap(if options.dram_index {
-                            ext.with_dram_index()?
-                        } else {
-                            ext
-                        })
-                    }
-                    None => {
-                        let domains = paths
-                            .iter()
-                            .map(|(ip, vp)| {
-                                let mut index = NvmStore::new(FileBackend::open(ip)?, dev.clone());
-                                let mut values = NvmStore::new(FileBackend::open(vp)?, dev.clone());
-                                if let Some(sums) = seal(ip)? {
-                                    index = index.with_integrity(sums);
-                                }
-                                if let Some(sums) = seal(vp)? {
-                                    values = values.with_integrity(sums);
-                                }
-                                ExtCsr::new(index, values)
-                            })
-                            .collect::<Result<Vec<_>>>()?;
-                        let ext = ExtForwardGraph::new(domains, partition.clone());
-                        ForwardStore::Ext(if options.dram_index {
-                            ext.with_dram_index()?
-                        } else {
-                            ext
-                        })
-                    }
-                    Some(cache) => {
-                        let domains = paths
-                            .iter()
-                            .map(|(ip, vp)| {
-                                let mut index = ShardedCachedStore::new(
-                                    FileBackend::open(ip)?,
-                                    dev.clone(),
-                                    cache.clone(),
-                                );
-                                let mut values = ShardedCachedStore::new(
-                                    FileBackend::open(vp)?,
-                                    dev.clone(),
-                                    cache.clone(),
-                                );
-                                if let Some(sums) = seal(ip)? {
-                                    index = index.with_integrity(sums);
-                                }
-                                if let Some(sums) = seal(vp)? {
-                                    values = values.with_integrity(sums);
-                                }
-                                // Step 2 just wrote these files through the
-                                // kernel: they start in the page cache.
-                                index.warm()?;
-                                values.warm()?;
-                                ExtCsr::new(index, values)
-                            })
-                            .collect::<Result<Vec<_>>>()?;
-                        let ext = ExtForwardGraph::new(domains, partition.clone());
-                        ForwardStore::ExtCached(if options.dram_index {
-                            ext.with_dram_index()?
-                        } else {
-                            ext
-                        })
-                    }
-                }
+                let domains = paths
+                    .iter()
+                    .map(|(ip, vp)| {
+                        let cache = page_cache.as_ref();
+                        ExtCsr::new(
+                            open_store(ip, &options, dev, cache)?,
+                            open_store(vp, &options, dev, cache)?,
+                        )
+                    })
+                    .collect::<Result<Vec<_>>>()?;
+                let ext = ExtForwardGraph::new(domains, partition.clone());
+                ForwardStore::Ext(if options.dram_index {
+                    ext.with_dram_index()?
+                } else {
+                    ext
+                })
             }
         };
 
         // Backward graph: DRAM, or split with the tail on the same device.
         let (backward, csr) = match (options.backward_offload_k, &device) {
             (Some(k), Some(dev)) => {
-                let dir = dir.as_ref().expect("device implies directory");
+                let dir = dir.expect("device implies directory");
                 let (head, tail_index, tail_values) = split_csr(&csr, k);
                 let ip = dir.join("bg-tail.index");
                 let vp = dir.join("bg-tail.values");
                 write_csr_files(&ip, &vp, &tail_index, &tail_values)?;
-                let mut tail_is = NvmStore::new(FileBackend::open(&ip)?, dev.clone());
-                let mut tail_vs = NvmStore::new(FileBackend::open(&vp)?, dev.clone());
-                if let Some(sums) = seal(&ip)? {
-                    tail_is = tail_is.with_integrity(sums);
-                }
-                if let Some(sums) = seal(&vp)? {
-                    tail_vs = tail_vs.with_integrity(sums);
-                }
-                let tail = ExtCsr::new(tail_is, tail_vs)?
-                    // The tail index is pinned: §VI-E's estimate concerns edge
-                    // (value) traffic, and an unpinned index would double every
-                    // probe's request count.
-                    .with_dram_index()?;
+                // The tail is never cached: every probe of it reaches the
+                // device, as §VI-E's estimate assumes.
+                let tail = ExtCsr::new(
+                    open_store(&ip, &options, dev, None)?,
+                    open_store(&vp, &options, dev, None)?,
+                )?
+                // The tail index is pinned: §VI-E's estimate concerns edge
+                // (value) traffic, and an unpinned index would double every
+                // probe's request count.
+                .with_dram_index()?;
                 let split = SplitBackwardGraph::new(head, tail, partition.clone(), k);
                 (BackwardStore::Split(split), Some(csr))
             }
@@ -560,8 +526,6 @@ impl ScenarioData {
         match &self.forward {
             ForwardStore::Dram(g) => visit_forward(g, frontier, ctx, f),
             ForwardStore::Ext(g) => visit_forward(g, frontier, ctx, f),
-            ForwardStore::ExtMmap(g) => visit_forward(g, frontier, ctx, f),
-            ForwardStore::ExtCached(g) => visit_forward(g, frontier, ctx, f),
         }
     }
 
@@ -605,8 +569,6 @@ impl ScenarioData {
         match &self.forward {
             ForwardStore::Dram(g) => g.byte_size(),
             ForwardStore::Ext(g) => g.byte_size(),
-            ForwardStore::ExtMmap(g) => g.byte_size(),
-            ForwardStore::ExtCached(g) => g.byte_size(),
         }
     }
 
@@ -624,8 +586,6 @@ impl ScenarioData {
         let fwd = match &self.forward {
             ForwardStore::Dram(_) => 0,
             ForwardStore::Ext(g) => g.byte_size(),
-            ForwardStore::ExtMmap(g) => g.byte_size(),
-            ForwardStore::ExtCached(g) => g.byte_size(),
         };
         let bwd = match &self.backward {
             BackwardStore::Dram(_) => 0,
@@ -677,18 +637,6 @@ impl ScenarioData {
             }
             (ForwardStore::Ext(f), BackwardStore::Dram(b)) => hybrid_bfs(f, b, root, policy, &cfg),
             (ForwardStore::Ext(f), BackwardStore::Split(b)) => hybrid_bfs(f, b, root, policy, &cfg),
-            (ForwardStore::ExtMmap(f), BackwardStore::Dram(b)) => {
-                hybrid_bfs(f, b, root, policy, &cfg)
-            }
-            (ForwardStore::ExtMmap(f), BackwardStore::Split(b)) => {
-                hybrid_bfs(f, b, root, policy, &cfg)
-            }
-            (ForwardStore::ExtCached(f), BackwardStore::Dram(b)) => {
-                hybrid_bfs(f, b, root, policy, &cfg)
-            }
-            (ForwardStore::ExtCached(f), BackwardStore::Split(b)) => {
-                hybrid_bfs(f, b, root, policy, &cfg)
-            }
         }
     }
 
@@ -714,18 +662,6 @@ impl ScenarioData {
                 hybrid_bfs_distances(f, b, root, policy, &cfg)
             }
             (ForwardStore::Ext(f), BackwardStore::Split(b)) => {
-                hybrid_bfs_distances(f, b, root, policy, &cfg)
-            }
-            (ForwardStore::ExtMmap(f), BackwardStore::Dram(b)) => {
-                hybrid_bfs_distances(f, b, root, policy, &cfg)
-            }
-            (ForwardStore::ExtMmap(f), BackwardStore::Split(b)) => {
-                hybrid_bfs_distances(f, b, root, policy, &cfg)
-            }
-            (ForwardStore::ExtCached(f), BackwardStore::Dram(b)) => {
-                hybrid_bfs_distances(f, b, root, policy, &cfg)
-            }
-            (ForwardStore::ExtCached(f), BackwardStore::Split(b)) => {
                 hybrid_bfs_distances(f, b, root, policy, &cfg)
             }
         }
@@ -885,6 +821,36 @@ mod tests {
             data.device().unwrap().snapshot().requests > 0,
             "a thrashing cache must reach the device"
         );
+    }
+
+    #[test]
+    fn access_path_governs_cached_and_tail_stores_without_changing_traffic() {
+        let el = kron(10);
+        let run = |access_path| {
+            let opts = ScenarioOptions {
+                backward_offload_k: Some(2),
+                page_cache_bytes: Some(64 * 4096),
+                access_path,
+                ..small_options()
+            };
+            let data = ScenarioData::build(&el, Scenario::DramPcieFlash, opts).unwrap();
+            let root = select_roots(data.num_vertices(), 1, 9, |v| data.degree(v))[0];
+            let cfg = BfsConfig::paper().with_threads(1);
+            let td = data.run(root, &FixedPolicy(Direction::TopDown), &cfg);
+            let best = data.run(root, &Scenario::DramPcieFlash.best_policy(), &cfg);
+            let io = data.device().unwrap().snapshot();
+            let cache = data.page_cache().unwrap().stats();
+            (
+                td.unwrap().parent,
+                best.unwrap().parent,
+                (io.requests, io.bytes, io.sectors),
+                cache,
+            )
+        };
+        let pread = run(AccessPath::Pread);
+        let (_, _, (requests, _, _), _) = pread;
+        assert!(requests > 0, "the layout must reach the device");
+        assert_eq!(run(AccessPath::Mmap), pread);
     }
 
     #[test]

@@ -246,7 +246,7 @@ mod tests {
     use super::*;
     use sembfs_core::{Scenario, ScenarioOptions};
     use sembfs_graph500::KroneckerParams;
-    use sembfs_semext::cache::PAGE_BYTES;
+    use sembfs_semext::PAGE_BYTES;
 
     /// A depth-2 neighborhood from the hub of a cold cached layout loads
     /// the frontier's lists ahead of their visits: pages are prefetched,

@@ -71,6 +71,14 @@ pub trait ReadAt: Send + Sync {
     fn prefetch(&self, _offset: u64, _len: u64) {}
 }
 
+/// Stores are handed out type-erased (`Arc<dyn ReadAt>`); this keeps the
+/// structures that hold them `Debug`.
+impl std::fmt::Debug for dyn ReadAt {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("ReadAt").field("len", &self.len()).finish()
+    }
+}
+
 fn check_bounds(offset: u64, len: usize, size: u64) -> Result<()> {
     let end = offset.checked_add(len as u64).ok_or(Error::OutOfBounds {
         offset,

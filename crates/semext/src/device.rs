@@ -826,7 +826,9 @@ mod tests {
     #[test]
     fn batch_pays_latency_once() {
         // Throttled: 8 sync requests pay 8 × latency; one batch of 8 pays
-        // ~1 × latency + 8 × service.
+        // ~1 × latency + 8 × service. Spans are measured on the device
+        // clock, from the first arrival to the modeled completion the
+        // calls return, so a descheduled test thread cannot stretch them.
         let profile = DeviceProfile {
             name: "batchy",
             latency: Duration::from_millis(1),
@@ -836,21 +838,20 @@ mod tests {
             min_transfer: 1,
         };
         let sync_dev = Device::new(profile.clone(), DelayMode::Throttled);
-        let t0 = Instant::now();
+        let mut sync_done = 0;
         for _ in 0..8 {
-            sync_dev.read_request(512);
+            sync_done = sync_dev.read_request(512);
         }
-        let sync_elapsed = t0.elapsed();
+        let sync_span = Duration::from_nanos(sync_done - sync_dev.snapshot().first_arrival_ns);
 
         let batch_dev = Device::new(profile, DelayMode::Throttled);
-        let t0 = Instant::now();
-        batch_dev.read_batch(&[512; 8]);
-        let batch_elapsed = t0.elapsed();
+        let batch_done = batch_dev.read_batch(&[512; 8]);
+        let batch_span = Duration::from_nanos(batch_done - batch_dev.snapshot().first_arrival_ns);
 
-        assert!(sync_elapsed >= Duration::from_millis(8));
+        assert!(sync_span >= Duration::from_millis(8), "sync {sync_span:?}");
         assert!(
-            batch_elapsed < Duration::from_millis(4),
-            "batch {batch_elapsed:?}"
+            batch_span < Duration::from_millis(4),
+            "batch {batch_span:?}"
         );
         // Stats still see 8 requests either way.
         assert_eq!(batch_dev.snapshot().requests, 8);

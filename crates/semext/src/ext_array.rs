@@ -139,7 +139,7 @@ impl<T: LeBytes, R: ReadAt> ExtArray<T, R> {
     /// [`Error::ChecksumMismatch`] found. Reads are charged to the
     /// store's device like any other access — a scrub is real I/O.
     pub fn verify_integrity(&self, integrity: &crate::fault::PageIntegrity) -> Result<()> {
-        use crate::cache::PAGE_BYTES;
+        use crate::PAGE_BYTES;
         let bytes = self.len * T::SIZE as u64;
         if bytes != integrity.len() {
             return Err(Error::Corrupt(format!(

@@ -520,10 +520,10 @@ mod tests {
 
     use super::*;
     use crate::backend::{DramBackend, FileBackend};
-    use crate::cache::PAGE_BYTES;
     use crate::device::{DelayMode, Device, DeviceProfile};
     use crate::shard_cache::{ShardedCachedStore, ShardedPageCache};
     use crate::tempdir::TempDir;
+    use crate::PAGE_BYTES;
 
     /// A small fixed graph: 0→{1,2}, 1→{0,2,3}, 2→{}, 3→{1}.
     fn sample_csr() -> (Vec<u64>, Vec<u32>) {

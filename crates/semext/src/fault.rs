@@ -26,8 +26,8 @@ use std::time::Duration;
 
 use parking_lot::Mutex;
 
-use crate::cache::PAGE_BYTES;
 use crate::error::{Error, Result};
+use crate::PAGE_BYTES;
 
 pub use sembfs_obs::FaultKind;
 
