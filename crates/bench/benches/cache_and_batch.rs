@@ -3,7 +3,7 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use sembfs_core::{hybrid_bfs, BfsConfig, Direction, FixedPolicy};
-use sembfs_csr::{build_csr, BackwardGraph, BuildOptions, DramForwardGraph, ExtForwardGraph};
+use sembfs_csr::{build_csr, write_forward_files, BackwardGraph, BuildOptions, ExtForwardGraph};
 use sembfs_graph500::{select_roots, KroneckerParams};
 use sembfs_numa::RangePartition;
 use sembfs_semext::ext_csr::ExtCsr;
@@ -110,9 +110,7 @@ fn bench_ext_bfs_cache_frontend(c: &mut Criterion) {
     let csr = build_csr(&edges, BuildOptions::default()).unwrap();
     let partition = RangePartition::new(csr.num_vertices(), 4);
     let tmp = TempDir::new("cache-bench").unwrap();
-    let paths = DramForwardGraph::from_csr(&csr, &partition)
-        .write_to_dir(tmp.path())
-        .unwrap();
+    let paths = write_forward_files(&csr, &partition, tmp.path()).unwrap();
     let backward = BackwardGraph::new(csr.clone(), partition.clone());
     let root = select_roots(csr.num_vertices(), 1, 2, |v| csr.degree(v))[0];
 

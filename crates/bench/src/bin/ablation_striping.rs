@@ -12,7 +12,9 @@ use std::sync::Arc;
 use sembfs_bench::{BenchEnv, Table};
 use sembfs_core::tree::new_parent_array;
 use sembfs_core::{par_top_down_step, AtomicBitmap};
-use sembfs_csr::{build_csr, BuildOptions, DramForwardGraph, ExtForwardGraph, NeighborCtx};
+use sembfs_csr::{
+    build_csr, write_forward_files, BuildOptions, DramForwardGraph, ExtForwardGraph, NeighborCtx,
+};
 use sembfs_graph500::select_roots;
 use sembfs_numa::RangePartition;
 use sembfs_semext::ext_csr::ExtCsr;
@@ -33,7 +35,7 @@ fn main() {
     let part = RangePartition::new(csr.num_vertices(), env.topology.domains());
     let fg_dram = DramForwardGraph::from_csr(&csr, &part);
     let dir = TempDir::new("striping").expect("tempdir");
-    let paths = fg_dram.write_to_dir(dir.path()).expect("offload");
+    let paths = write_forward_files(&csr, &part, dir.path()).expect("offload");
 
     let root = select_roots(csr.num_vertices(), 1, env.seed, |v| csr.degree(v))[0];
     // One full frontier expansion from the hub level: dominated by device

@@ -12,11 +12,12 @@
 //!
 //! Per configuration it reports QPS, p50/p99 latency, the shared-cache
 //! hit rate, device bytes per query and the device queue depth
-//! (`avgqu-sz`). Each query's search is serial, but its frontier visits
-//! prefetch the neighbor lists a few vertices ahead, so one query keeps
-//! several device reads in flight; extra workers add throughput insofar
-//! as their device waits overlap too, which is the semi-external story
-//! in miniature. The result cache is disabled so every answer is a fresh
+//! (`avgqu-sz`). Each query's search is serial, but its forward reads
+//! prefetch the neighbor lists ahead, so one query keeps several device
+//! reads in flight, and a neighborhood finds its wide rings bottom-up in
+//! the DRAM backward graph; extra workers add throughput insofar as their
+//! device waits overlap too, which is the semi-external story in
+//! miniature. The result cache is disabled so every answer is a fresh
 //! computation.
 //!
 //! Pass `--smoke` for a seconds-long CI subset.
@@ -163,9 +164,10 @@ fn main() {
     table.print();
     println!();
     println!(
-        "note: per-query searches are serial but prefetch their frontier's lists \
-         ahead, so avgqu-sz exceeds 1 even at 1 worker; more workers overlap \
-         further device waits; budgets below 1.0x force that device traffic."
+        "note: per-query searches are serial but prefetch their forward lists \
+         ahead, so avgqu-sz can exceed 1 even at 1 worker; neighborhoods find \
+         wide rings bottom-up in DRAM; more workers overlap further device \
+         waits; budgets below 1.0x force that device traffic."
     );
     if let Some((config, text)) = prom_snapshot {
         println!();

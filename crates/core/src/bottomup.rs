@@ -99,6 +99,9 @@ impl<R: ReadAt> BottomUpSource for SplitBackwardGraph<R> {
         SplitBackwardGraph::partition(self)
     }
 
+    // Inlined into `scan_unit` for the same reason as the DRAM probe: the
+    // head walk runs for every unvisited vertex.
+    #[inline]
     fn search_parent(
         &self,
         w: VertexId,

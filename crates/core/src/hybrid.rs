@@ -4,8 +4,9 @@
 //! [`DirectionPolicy`] before every level, converts the frontier between
 //! queue and bitmap forms at switches, and records a [`LevelStats`] per
 //! level (including the monitored NVM device's I/O delta, which feeds
-//! Figs. 11–13). The same loop backs [`hybrid_bfs`] (parent tree + TEPS)
-//! and [`hybrid_bfs_distances`] (per-vertex hop counts only).
+//! Figs. 11–13). The same loop backs [`hybrid_bfs`] (parent tree + TEPS),
+//! [`hybrid_bfs_distances`] (per-vertex hop counts only) and
+//! [`hybrid_bfs_rings`] (per-level counts of a search cut off at a depth).
 
 use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::Arc;
@@ -181,6 +182,9 @@ enum Record {
     /// after every step (they arbitrate through the visited bitmap and
     /// never read a claimed slot again).
     Levels,
+    /// Nothing beyond the per-level [`LevelStats`]: the kernels' parent
+    /// writes are left as they are and never read.
+    Counts,
 }
 
 /// The state one pass of the level loop leaves behind.
@@ -211,8 +215,9 @@ fn ctx_factory(cfg: &BfsConfig) -> impl Fn() -> NeighborCtx + Sync {
 
 /// The level loop. The first level always runs top-down from the root
 /// (§III-C: "we first start BFS from a source vertex by using the
-/// top-down approach") unless the policy overrides it. Distances-only
-/// searches (`Record::Levels`) are not traced.
+/// top-down approach") unless the policy overrides it. The loop stops at
+/// the first empty level or after level `max_level`, whichever comes
+/// first. Only parent-tree searches (`Record::Parents`) are traced.
 fn traverse<G, B, P>(
     forward: &G,
     backward: &B,
@@ -220,6 +225,7 @@ fn traverse<G, B, P>(
     policy: &P,
     cfg: &BfsConfig,
     record: Record,
+    max_level: u32,
 ) -> Result<Traversal>
 where
     G: DomainNeighbors,
@@ -261,7 +267,7 @@ where
     let mut level = 1u32;
     let mut was_degraded = false;
 
-    while frontier_size > 0 {
+    while frontier_size > 0 && level <= max_level {
         // Policy decision for this level. The frontier's outgoing-edge
         // count is computable in either representation — a bitmap frontier
         // (after a bottom-up level) sums over its set bits, so Beamer-style
@@ -463,7 +469,15 @@ where
     B: BottomUpSource,
     P: DirectionPolicy + ?Sized,
 {
-    let t = traverse(forward, backward, root, policy, cfg, Record::Parents)?;
+    let t = traverse(
+        forward,
+        backward,
+        root,
+        policy,
+        cfg,
+        Record::Parents,
+        u32::MAX,
+    )?;
 
     // TEPS edge accounting: half the summed degree of visited vertices.
     // Accounting, not traversal: outside both the timer and the run span.
@@ -524,7 +538,15 @@ where
     B: BottomUpSource,
     P: DirectionPolicy + ?Sized,
 {
-    let t = traverse(forward, backward, root, policy, cfg, Record::Levels)?;
+    let t = traverse(
+        forward,
+        backward,
+        root,
+        policy,
+        cfg,
+        Record::Levels,
+        u32::MAX,
+    )?;
     // The root's slot holds its self-parent; unreached slots hold
     // INVALID_PARENT, the same bit pattern as INVALID_LEVEL.
     t.slots[root as usize].store(0, Ordering::Relaxed);
@@ -539,6 +561,39 @@ where
             .map_or(0, |l| l.level),
         elapsed: t.elapsed,
     })
+}
+
+/// Sizes of the BFS rings around `root` out to `depth` hops: `rings[d]`
+/// is the number of vertices exactly `d` hops away, ring 0 being `root`
+/// itself. The list ends at the first empty ring, so it never ends in a
+/// zero.
+///
+/// The search is the hybrid level loop cut off after level `depth`: the
+/// policy picks each ring's direction as in a whole-graph search, and no
+/// per-vertex result is kept. A small ring expands top-down through the
+/// forward graph; a wide one can probe the backward graph bottom-up.
+pub fn hybrid_bfs_rings<G, B, P>(
+    forward: &G,
+    backward: &B,
+    root: VertexId,
+    depth: u32,
+    policy: &P,
+    cfg: &BfsConfig,
+) -> Result<Vec<u64>>
+where
+    G: DomainNeighbors,
+    B: BottomUpSource,
+    P: DirectionPolicy + ?Sized,
+{
+    let t = traverse(forward, backward, root, policy, cfg, Record::Counts, depth)?;
+    Ok(std::iter::once(1)
+        .chain(
+            t.levels
+                .iter()
+                .map(|l| l.discovered)
+                .take_while(|&ring| ring > 0),
+        )
+        .collect())
 }
 
 #[cfg(test)]
@@ -818,6 +873,29 @@ mod tests {
         let cfg = BfsConfig::paper().with_monitor(healthy);
         let run = hybrid_bfs(&fg, &bg, 0, &policy, &cfg).unwrap();
         assert!(run.levels.iter().all(|l| l.direction == Direction::TopDown));
+    }
+
+    #[test]
+    fn rings_stop_at_the_depth_and_at_the_first_empty_ring() {
+        let (fg, bg) = star_tail();
+        for policy in [
+            &FixedPolicy(Direction::TopDown) as &dyn DirectionPolicy,
+            &FixedPolicy(Direction::BottomUp),
+            &AlphaBetaPolicy::new(1e9, 1e9),
+        ] {
+            let rings = |root, depth| {
+                hybrid_bfs_rings(&fg, &bg, root, depth, policy, &BfsConfig::paper()).unwrap()
+            };
+            assert_eq!(rings(0, 0), vec![1]);
+            assert_eq!(rings(0, 1), vec![1, 4]);
+            assert_eq!(rings(0, 2), vec![1, 4, 1]);
+            assert_eq!(rings(0, 3), vec![1, 4, 1, 1]);
+            // Past the eccentricity: no trailing empty ring.
+            assert_eq!(rings(0, 9), vec![1, 4, 1, 1]);
+            assert_eq!(rings(6, 9), vec![1, 1, 1, 1, 3]);
+            // Vertex 7 is isolated.
+            assert_eq!(rings(7, 3), vec![1]);
+        }
     }
 
     #[test]

@@ -21,8 +21,8 @@
 //!   bit-identical to [`reference_bfs`] at any thread count
 //!   (`BfsConfig::threads`).
 //! * [`policy`] — direction-switching: the paper's α/β rule, fixed
-//!   directions (the Fig. 8 baselines), and a Beamer-style heuristic for
-//!   ablation.
+//!   directions (the Fig. 8 baselines), and a Beamer-style edge rule
+//!   (ablation, and the query engine's neighborhood searches).
 //! * [`hybrid`] — the level-synchronous driver with per-level
 //!   instrumentation ([`level_stats`]).
 //! * [`mod@reference`] — the serial Graph500-reference-style BFS baseline.
@@ -45,7 +45,9 @@ pub mod tree;
 pub use bitmap::AtomicBitmap;
 pub use bottomup::{par_bottom_up_step, BottomUpSource, SearchOutcome};
 pub use energy::PowerModel;
-pub use hybrid::{hybrid_bfs, hybrid_bfs_distances, BfsConfig, BfsRun, DistanceRun};
+pub use hybrid::{
+    hybrid_bfs, hybrid_bfs_distances, hybrid_bfs_rings, BfsConfig, BfsRun, DistanceRun,
+};
 pub use level_stats::{Direction, LevelStats};
 pub use policy::{
     AlphaBetaPolicy, BeamerPolicy, DirectionPolicy, FixedPolicy, PolicyCtx, PolicyEvent,

@@ -16,8 +16,8 @@ use std::sync::Arc;
 
 use sembfs_csr::backward::split_csr;
 use sembfs_csr::{
-    build_csr, BackwardGraph, BuildOptions, CsrGraph, DramForwardGraph, ExtForwardGraph,
-    SplitBackwardGraph,
+    build_csr, write_forward_files, BackwardGraph, BuildOptions, CsrGraph, DramForwardGraph,
+    ExtForwardGraph, SplitBackwardGraph,
 };
 use sembfs_graph500::edge_list::EdgeList;
 use sembfs_numa::{RangePartition, Topology};
@@ -27,7 +27,9 @@ use sembfs_semext::{
     PageIntegrity, ReadAt, Result, ShardedCachedStore, ShardedPageCache, TempDir,
 };
 
-use crate::hybrid::{hybrid_bfs, hybrid_bfs_distances, BfsConfig, BfsRun, DistanceRun};
+use crate::hybrid::{
+    hybrid_bfs, hybrid_bfs_distances, hybrid_bfs_rings, BfsConfig, BfsRun, DistanceRun,
+};
 use crate::policy::DirectionPolicy;
 use crate::tree::status_data_bytes;
 use crate::{AlphaBetaPolicy, VertexId};
@@ -37,10 +39,12 @@ use sembfs_csr::{lookahead, DomainNeighbors, NeighborCtx};
 /// Frontier positions between the vertex a query search visits and the
 /// one whose neighbor value spans it prefetches (index entries go twice
 /// as far). It counts vertices, not the top-down kernel's 64-vertex
-/// units: one query visits a hub's neighbors one at a time behind a
-/// small page cache. On the throttled flash model with a 4 MiB cache, 8
-/// and 16 measured alike, while 64 and more evicted prefetched pages
-/// before their visit and ran 30–60% slower.
+/// units: the source side of a bidirectional search visits its frontier
+/// one vertex at a time behind a small page cache. It was tuned on the
+/// neighborhood searches that once ran through the same visitor: on the
+/// throttled flash model with a 4 MiB cache, 8 and 16 measured alike,
+/// while 64 and more evicted prefetched pages before their visit and ran
+/// 30–60% slower.
 const FRONTIER_LOOKAHEAD: usize = 16;
 
 /// Hand every forward edge `(v, w)` of the frontier to `f`: vertex by
@@ -352,9 +356,13 @@ impl ScenarioData {
             .as_deref()
             .or(tempdir.as_ref().map(TempDir::path));
 
-        // Forward graph: build in DRAM, then offload when the scenario has
-        // a device (§V-A Step 2: "construct the forward graph on DRAM …
-        // and offload the constructed forward graph to NVM").
+        // Forward graph: in DRAM, or offloaded when the scenario has a
+        // device (§V-A Step 2: "construct the forward graph on DRAM … and
+        // offload the constructed forward graph to NVM"). The offload
+        // streams each domain's files from the full CSR instead of
+        // building the whole forward graph in DRAM first: its freed
+        // arrays stayed resident in the allocator (`bfs-flash-ext` peak
+        // RSS 113.5 → 105.6 MiB without them).
         let page_cache = match (&device, options.page_cache_bytes) {
             (Some(_), Some(bytes)) => {
                 let cache = match options.cache_shards {
@@ -366,14 +374,11 @@ impl ScenarioData {
             }
             _ => None,
         };
-        let fg_dram = DramForwardGraph::from_csr(&csr, &partition);
         let forward = match &device {
-            None => ForwardStore::Dram(fg_dram),
+            None => ForwardStore::Dram(DramForwardGraph::from_csr(&csr, &partition)),
             Some(dev) => {
                 let dir = dir.expect("device implies directory");
-                let paths = fg_dram.write_to_dir(dir)?;
-                drop(fg_dram);
-                let domains = paths
+                let domains = write_forward_files(&csr, &partition, dir)?
                     .iter()
                     .map(|(ip, vp)| {
                         let cache = page_cache.as_ref();
@@ -663,6 +668,34 @@ impl ScenarioData {
             }
             (ForwardStore::Ext(f), BackwardStore::Split(b)) => {
                 hybrid_bfs_distances(f, b, root, policy, &cfg)
+            }
+        }
+    }
+
+    /// Sizes of the BFS rings around `root` out to `depth` hops, by a
+    /// hybrid search cut off after level `depth` (see
+    /// [`hybrid_bfs_rings`](crate::hybrid::hybrid_bfs_rings)). The config
+    /// is augmented exactly like [`run`](Self::run).
+    pub fn run_rings(
+        &self,
+        root: VertexId,
+        depth: u32,
+        policy: &dyn DirectionPolicy,
+        cfg: &BfsConfig,
+    ) -> Result<Vec<u64>> {
+        let cfg = self.augment_cfg(cfg);
+        match (&self.forward, &self.backward) {
+            (ForwardStore::Dram(f), BackwardStore::Dram(b)) => {
+                hybrid_bfs_rings(f, b, root, depth, policy, &cfg)
+            }
+            (ForwardStore::Dram(f), BackwardStore::Split(b)) => {
+                hybrid_bfs_rings(f, b, root, depth, policy, &cfg)
+            }
+            (ForwardStore::Ext(f), BackwardStore::Dram(b)) => {
+                hybrid_bfs_rings(f, b, root, depth, policy, &cfg)
+            }
+            (ForwardStore::Ext(f), BackwardStore::Split(b)) => {
+                hybrid_bfs_rings(f, b, root, depth, policy, &cfg)
             }
         }
     }

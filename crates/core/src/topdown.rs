@@ -215,7 +215,7 @@ pub fn par_top_down_step<G: DomainNeighbors>(
 mod tests {
     use super::*;
     use crate::tree::{new_parent_array, snapshot_parents};
-    use sembfs_csr::{build_csr, BuildOptions, DramForwardGraph};
+    use sembfs_csr::{build_csr, write_forward_files, BuildOptions, DramForwardGraph};
     use sembfs_graph500::edge_list::MemEdgeList;
 
     fn forward(edges: Vec<(u32, u32)>, n: u64, domains: usize) -> DramForwardGraph {
@@ -418,7 +418,7 @@ mod tests {
             )
         };
         let ext = ExtForwardGraph::new(
-            dram.write_to_dir(dir.path())
+            write_forward_files(&csr, &part, dir.path())
                 .unwrap()
                 .iter()
                 .map(|(ip, vp)| ExtCsr::new(store(ip), store(vp)).unwrap())

@@ -26,7 +26,7 @@ pub mod relabel;
 pub use backward::{BackwardGraph, SplitBackwardGraph};
 pub use builder::{build_csr, BuildOptions};
 pub use degree::DegreeStats;
-pub use forward::{DramForwardGraph, ExtForwardGraph};
+pub use forward::{write_forward_files, DramForwardGraph, ExtForwardGraph};
 pub use graph::CsrGraph;
 pub use neighbors::{lookahead, DomainNeighbors, NeighborCtx};
 pub use relabel::Relabeling;

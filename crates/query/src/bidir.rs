@@ -1,4 +1,5 @@
-//! Bidirectional point-to-point BFS over a scenario's data layout.
+//! Bidirectional point-to-point BFS and bounded-depth neighborhoods over
+//! a scenario's data layout.
 //!
 //! Two level-synchronous searches run toward each other: the source side
 //! expands through the *forward* store (NVM-resident in the semi-external
@@ -20,17 +21,32 @@
 //! first edge scan into the opposite endpoint (labeled 0 from the start)
 //! recorded the exact candidate — no candidate means unreachable.
 //!
-//! **Serial by design.** Each search runs on the calling thread: the
+//! **Neighborhoods.** [`neighborhood`] is the core hybrid level loop cut
+//! off at the query's depth ([`ScenarioData::run_rings`]), under Beamer's
+//! edge rule: a ring whose lists hold few edges expands top-down through
+//! the forward store, and a wide ring switches to probing the DRAM
+//! backward graph bottom-up, the paper's split (§III-C, §V). A hub's
+//! first ring thus reads one list from the device, and its second is
+//! found in DRAM; a hub holding more than about 1/14 of all edges goes
+//! bottom-up at once. The paper's flash α/β (α = 10⁶) would send every
+//! first level bottom-up, a whole-graph probe for one list's worth of
+//! answers.
+//!
+//! **Serial by design.** Each search is serial: the
 //! engine's parallelism axis is *queries across workers*, not edges within
-//! one query. One query still keeps several device reads in flight. The
-//! source side and [`neighborhood`] visit whole frontiers through
-//! [`ScenarioData::for_each_forward_neighbor`], which on a cached external
-//! forward graph prefetches the lists of the vertices 16 and 32 frontier
-//! positions ahead while it visits the current one. The destination side
-//! reads the backward graph, whose split tail is uncached and gets no
-//! prefetch.
+//! one query, so a neighborhood's kernels run on one worker
+//! ([`search_config`]). One query still keeps several device reads in
+//! flight. A neighborhood's top-down rings come out ascending, and the
+//! top-down kernel reads a cached store in page windows with its units
+//! prefetched ahead. The bidirectional source side visits whole frontiers
+//! through [`ScenarioData::for_each_forward_neighbor`], which on a cached
+//! external forward graph prefetches the lists of the vertices 16 and 32
+//! frontier positions ahead while it visits the current one, but reads
+//! each list on its own. The destination side reads the backward graph,
+//! whose split tail is uncached and gets no prefetch; a split layout's
+//! bottom-up rings probe that tail the same way.
 
-use sembfs_core::{ScenarioData, VertexId};
+use sembfs_core::{BeamerPolicy, BfsConfig, ScenarioData, VertexId};
 use sembfs_graph500::validate::INVALID_LEVEL;
 use sembfs_graph500::INVALID_PARENT;
 use sembfs_semext::Result;
@@ -211,47 +227,46 @@ pub fn bidirectional_search(
     })
 }
 
-/// Sizes of the BFS rings around `v`: `counts[d]` = vertices exactly `d`
-/// hops away, expanded serially through the forward store up to `depth`
-/// hops (ring 0 is `v` itself). Each ring is visited as one frontier, so
-/// a cached store prefetches its lists ahead (see the module docs).
-pub fn neighborhood(data: &ScenarioData, v: VertexId, depth: u32) -> Result<Vec<u64>> {
-    let n = data.num_vertices();
-    assert!((v as u64) < n, "vertex out of range");
-    let mut dist = vec![INVALID_LEVEL; n as usize];
-    dist[v as usize] = 0;
-    let mut counts = vec![1u64];
-    let mut frontier = vec![v];
-    let mut ctx = data.neighbor_ctx();
-    for d in 1..=depth {
-        let mut next = Vec::new();
-        data.for_each_forward_neighbor(&frontier, &mut ctx, &mut |_, w| {
-            let wi = w as usize;
-            if dist[wi] == INVALID_LEVEL {
-                dist[wi] = d;
-                next.push(w);
-            }
-        })?;
-        if next.is_empty() {
-            break;
-        }
-        counts.push(next.len() as u64);
-        frontier = next;
+/// The kernel config of every engine search: one step worker, because
+/// the engine runs queries in parallel across its workers, and the
+/// frontier's edge count, which [`neighborhood`]'s edge rule compares.
+pub fn search_config() -> BfsConfig {
+    BfsConfig {
+        batch: 64,
+        threads: 1,
+        count_frontier_edges: true,
+        ..BfsConfig::default()
     }
-    Ok(counts)
+}
+
+/// Sizes of the BFS rings around `v`: `counts[d]` = vertices exactly `d`
+/// hops away, up to `depth` hops (ring 0 is `v` itself), ending at the
+/// first empty ring. The search is the hybrid level loop cut off at
+/// `depth` ([`ScenarioData::run_rings`]) under Beamer's edge rule, on the
+/// kernels `cfg` configures (pass [`search_config`]; see the module docs).
+pub fn neighborhood(
+    data: &ScenarioData,
+    v: VertexId,
+    depth: u32,
+    cfg: &BfsConfig,
+) -> Result<Vec<u64>> {
+    let policy = BeamerPolicy::with_defaults(data.csr().num_values() / 2);
+    data.run_rings(v, depth, &policy, cfg)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sembfs_core::{Scenario, ScenarioOptions};
+    use sembfs_core::{Direction, FixedPolicy, Scenario, ScenarioOptions};
     use sembfs_graph500::KroneckerParams;
     use sembfs_semext::PAGE_BYTES;
 
-    /// A depth-2 neighborhood from the hub of a cold cached layout loads
-    /// the frontier's lists ahead of their visits: pages are prefetched,
-    /// none goes unused while the cache holds the whole forward graph,
-    /// and no page is read from the device twice.
+    /// A depth-2 top-down ring search from the hub of a cold cached
+    /// layout loads the frontier's lists ahead of their visits: pages are
+    /// prefetched, none goes unused while the cache holds the whole
+    /// forward graph, and no page is read from the device twice. The
+    /// direction is forced: under [`neighborhood`]'s edge rule the hub's
+    /// second ring is found bottom-up in DRAM and reads nothing ahead.
     #[test]
     fn hub_neighborhood_prefetches_each_page_once() {
         let el = KroneckerParams::graph500(10, 5).generate();
@@ -270,10 +285,12 @@ mod tests {
         let hub = (0..data.num_vertices() as VertexId)
             .max_by_key(|&v| data.degree(v))
             .unwrap();
+        let top_down = FixedPolicy(Direction::TopDown);
+        let search = || data.run_rings(hub, 2, &top_down, &search_config());
 
         let (cache_before, io_before) = (cache.snapshot(), device.snapshot());
         let resident_before = cache.resident_pages() as u64;
-        let rings = neighborhood(&data, hub, 2).unwrap();
+        let rings = search().unwrap();
         assert_eq!(rings.len(), 3, "a hub reaches two rings: {rings:?}");
         let c = cache.snapshot().delta(&cache_before);
         let io = device.snapshot().delta(&io_before);
@@ -286,9 +303,12 @@ mod tests {
         assert_eq!(c.misses + c.readahead_pages, loaded);
         assert!(io.bytes <= loaded * PAGE_BYTES, "{} bytes", io.bytes);
 
-        // Everything the query needs is now resident.
+        // Everything the query needs is now resident, and the edge rule's
+        // search gives the same rings.
         let io_before = device.snapshot();
-        assert_eq!(neighborhood(&data, hub, 2).unwrap(), rings);
+        assert_eq!(search().unwrap(), rings);
+        let nbhd = neighborhood(&data, hub, 2, &search_config()).unwrap();
+        assert_eq!(nbhd, rings);
         assert_eq!(device.snapshot().delta(&io_before).requests, 0);
     }
 }

@@ -17,7 +17,7 @@ use std::time::{Duration, Instant};
 use sembfs_core::{BfsConfig, ScenarioData};
 use sembfs_semext::{CacheSnapshot, IoSnapshot};
 
-use crate::bidir::{bidirectional_search, neighborhood};
+use crate::bidir::{bidirectional_search, neighborhood, search_config};
 use crate::metrics::{LatencyHistogram, QueryStats};
 use crate::result_cache::ResultCache;
 use crate::{Query, QueryResult};
@@ -160,6 +160,9 @@ struct QueueState {
 
 struct Shared {
     data: Arc<ScenarioData>,
+    /// The kernel config of every `Distance` and `Neighborhood` search
+    /// ([`search_config`]).
+    cfg: BfsConfig,
     queue: Mutex<QueueState>,
     work_ready: Condvar,
     histogram: Arc<LatencyHistogram>,
@@ -197,7 +200,7 @@ impl Shared {
                 let policy = self.data.scenario().best_policy();
                 let run = self
                     .data
-                    .run_distances(src, &policy, &BfsConfig::paper())
+                    .run_distances(src, &policy, &self.cfg)
                     .map_err(io)?;
                 let level = run.levels[dst as usize];
                 Ok(QueryResult::Distance(
@@ -209,7 +212,7 @@ impl Shared {
                 Ok(QueryResult::Reachable(out.distance.is_some()))
             }
             Query::Neighborhood { v, depth } => {
-                let counts = neighborhood(&self.data, v, depth).map_err(io)?;
+                let counts = neighborhood(&self.data, v, depth, &self.cfg).map_err(io)?;
                 Ok(QueryResult::Neighborhood { counts })
             }
         }
@@ -277,6 +280,7 @@ impl QueryEngine {
         let io_base = data.device().map(|d| d.snapshot());
         let shared = Arc::new(Shared {
             data,
+            cfg: search_config(),
             queue: Mutex::new(QueueState::default()),
             work_ready: Condvar::new(),
             histogram: Arc::new(LatencyHistogram::new()),

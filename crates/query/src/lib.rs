@@ -14,8 +14,11 @@
 //!   source's full level structure is wanted anyway.
 //! * [`Query::Reachable`] — the bidirectional search without path
 //!   recording.
-//! * [`Query::Neighborhood`] — bounded-depth frontier counts around a
-//!   vertex.
+//! * [`Query::Neighborhood`] — bounded-depth ring counts around a vertex:
+//!   the hybrid level loop cut off at the depth
+//!   ([`sembfs_core::hybrid_bfs_rings`]), top-down through the forward
+//!   store while a ring's lists are few, bottom-up from the DRAM backward
+//!   graph once they are many ([`bidir`]).
 //!
 //! [`QueryEngine`] owns a worker pool over a *bounded* submission queue
 //! (admission control: full ⇒ typed [`QueryError::Overloaded`], never
@@ -25,7 +28,9 @@
 //! NVM bytes per query — surfaced as a [`QueryStats`] report
 //! ([`metrics`]). Workers share the scenario's sharded page cache and
 //! simulated device; all I/O goes through the same `DomainNeighbors`
-//! machinery as the BFS kernels.
+//! machinery as the BFS kernels. Every kernel search of the engine runs
+//! on one step worker ([`search_config`]): the engine's parallelism is
+//! across queries.
 
 pub mod bidir;
 pub mod engine;
@@ -33,7 +38,7 @@ pub mod metrics;
 pub mod result_cache;
 pub mod workload;
 
-pub use bidir::{bidirectional_search, neighborhood, BidirOutcome};
+pub use bidir::{bidirectional_search, neighborhood, search_config, BidirOutcome};
 pub use engine::{EngineConfig, QueryEngine, QueryError, Response};
 pub use metrics::{LatencyHistogram, QueryStats};
 pub use result_cache::ResultCache;

@@ -10,7 +10,7 @@ use sembfs_graph500::edge_list::MemEdgeList;
 use sembfs_graph500::validate::{compute_levels, INVALID_LEVEL};
 use sembfs_graph500::VertexId;
 use sembfs_numa::Topology;
-use sembfs_query::{bidirectional_search, neighborhood};
+use sembfs_query::{bidirectional_search, neighborhood, search_config};
 
 const N: u32 = 32;
 
@@ -116,7 +116,7 @@ proptest! {
         let el = MemEdgeList::new(N as u64, edges);
         for (label, data) in layouts(&el) {
             let want = reference_rings(&data, v, depth);
-            let got = neighborhood(&data, v, depth).unwrap();
+            let got = neighborhood(&data, v, depth, &search_config()).unwrap();
             prop_assert_eq!(got, want, "{}: rings around {} to depth {}", &label, v, depth);
         }
     }
@@ -135,11 +135,11 @@ proptest! {
         let mut all = layouts(&el).into_iter();
         let (_, dram) = all.next().unwrap();
         let want_bidir = bidirectional_search(&dram, src, dst, true).unwrap();
-        let want_rings = neighborhood(&dram, src, depth).unwrap();
+        let want_rings = neighborhood(&dram, src, depth, &search_config()).unwrap();
         for (label, data) in all.filter(|(_, d)| d.options().backward_offload_k.is_none()) {
             let got = bidirectional_search(&data, src, dst, true).unwrap();
             prop_assert_eq!(&got, &want_bidir, "{}: {} → {}", &label, src, dst);
-            let rings = neighborhood(&data, src, depth).unwrap();
+            let rings = neighborhood(&data, src, depth, &search_config()).unwrap();
             prop_assert_eq!(&rings, &want_rings, "{}: rings around {}", &label, src);
         }
     }
@@ -210,7 +210,7 @@ fn cached_layout_evicts_mid_query() {
     let cache = data.page_cache().unwrap();
     let before = cache.snapshot();
     assert_eq!(
-        neighborhood(&data, 1, 2).unwrap(),
+        neighborhood(&data, 1, 2, &search_config()).unwrap(),
         reference_rings(&data, 1, 2)
     );
     assert!(cache.snapshot().delta(&before).evictions > 0);
