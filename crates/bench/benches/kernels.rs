@@ -113,19 +113,22 @@ fn bench_bottom_up(c: &mut Criterion) {
 
 fn bench_frontier_conversion(c: &mut Criterion) {
     let n = 1u64 << 20;
+    let threads = rayon::current_num_threads();
     let queue: Vec<u32> = (0..n as u32).step_by(7).collect();
     let mut g = c.benchmark_group("frontier_conversion");
     g.throughput(Throughput::Elements(queue.len() as u64));
     g.bench_function("queue_to_bitmap", |b| {
         b.iter(|| {
             let bm = AtomicBitmap::new(n);
-            queue_to_bitmap(&queue, &bm);
+            queue_to_bitmap(&queue, &bm, threads);
             bm
         })
     });
     let bm = AtomicBitmap::new(n);
-    queue_to_bitmap(&queue, &bm);
-    g.bench_function("bitmap_to_queue", |b| b.iter(|| bitmap_to_queue(&bm)));
+    queue_to_bitmap(&queue, &bm, threads);
+    g.bench_function("bitmap_to_queue", |b| {
+        b.iter(|| bitmap_to_queue(&bm, threads))
+    });
     g.finish();
 }
 

@@ -10,10 +10,12 @@
 //!
 //! [`par_bottom_up_step`] range-partitions the vertices per NUMA domain
 //! (§V-C) into work units claimed from a shared cursor. A unit walks the
-//! visited bitmap a word at a time and probes only the unvisited bits, so
-//! the many already-visited or isolated vertices of a late level cost one
-//! word load per 64. Discoveries of a word are published with one
-//! `fetch_or` into `visited` and one into `next`.
+//! visited bitmap a word at a time, next to the source's mask of edgeless
+//! vertices, and probes only the bits that are in neither: the many
+//! already-visited vertices of a late level cost one word load per 64, and
+//! a vertex with no edge (38% of a SCALE-20 Kronecker graph) is never
+//! probed, though it stays unvisited. Discoveries of a word are published
+//! with one `fetch_or` into `visited` and one into `next`.
 //!
 //! [`BottomUpSource`] abstracts where the neighbor list lives:
 //!
@@ -30,6 +32,7 @@ use sembfs_numa::{DomainCounters, LocalDomainCounters, RangePartition};
 use sembfs_semext::{ReadAt, Result};
 
 use crate::bitmap::AtomicBitmap;
+use crate::workers::run_workers;
 use crate::VertexId;
 
 /// Vertices per bottom-up work unit. Unit boundaries inside a domain are
@@ -52,6 +55,11 @@ pub trait BottomUpSource: Send + Sync {
     /// The NUMA vertex partition.
     fn partition(&self) -> &RangePartition;
 
+    /// One bit per vertex, 64 to a word, set when the vertex has no edge
+    /// ([`sembfs_csr::CsrGraph::edgeless_mask`]). Such a vertex is never
+    /// probed: no probe could find it a parent.
+    fn edgeless_words(&self) -> &[u64];
+
     /// Probe `w`'s neighbors in ascending order; stop at the first
     /// neighbor for which `in_frontier` is true — the smallest one.
     fn search_parent(
@@ -68,6 +76,10 @@ pub trait BottomUpSource: Send + Sync {
 impl BottomUpSource for BackwardGraph {
     fn partition(&self) -> &RangePartition {
         BackwardGraph::partition(self)
+    }
+
+    fn edgeless_words(&self) -> &[u64] {
+        BackwardGraph::edgeless_words(self)
     }
 
     // The probe of every unvisited vertex: left to LLVM's heuristics it
@@ -97,6 +109,10 @@ impl BottomUpSource for BackwardGraph {
 impl<R: ReadAt> BottomUpSource for SplitBackwardGraph<R> {
     fn partition(&self) -> &RangePartition {
         SplitBackwardGraph::partition(self)
+    }
+
+    fn edgeless_words(&self) -> &[u64] {
+        SplitBackwardGraph::edgeless_words(self)
     }
 
     // Inlined into `scan_unit` for the same reason as the DRAM probe: the
@@ -162,8 +178,8 @@ impl BottomUpOutput {
     }
 }
 
-/// Probe every unvisited vertex of `range`, a visited-bitmap word at a
-/// time; see the module docs.
+/// Probe every unvisited vertex of `range` that has an edge, a
+/// visited-bitmap word at a time; see the module docs.
 #[allow(clippy::too_many_arguments)]
 fn scan_unit<B: BottomUpSource>(
     b: &B,
@@ -175,13 +191,14 @@ fn scan_unit<B: BottomUpSource>(
     ctx: &mut NeighborCtx,
     out: &mut BottomUpOutput,
 ) -> Result<()> {
-    for wi in (range.start / 64) as usize..=((range.end - 1) / 64) as usize {
+    let words = (range.start / 64) as usize..=((range.end - 1) / 64) as usize;
+    for (wi, &edgeless) in words.clone().zip(&b.edgeless_words()[words]) {
         let base = wi as u64 * 64;
         // The bits of this word inside the unit's range.
         let lo = range.start.max(base) - base;
         let hi = range.end.min(base + 64) - base;
         let in_range = (u64::MAX >> (64 - (hi - lo))) << lo;
-        let mut todo = !visited.word(wi) & in_range;
+        let mut todo = !(visited.word(wi) | edgeless) & in_range;
         let mut found = 0u64;
         while todo != 0 {
             let bit = todo.trailing_zeros();
@@ -208,9 +225,10 @@ fn scan_unit<B: BottomUpSource>(
     Ok(())
 }
 
-/// Run one bottom-up step on `threads` explicit workers: every unvisited
-/// vertex probes `frontier` (bitmap of the previous level) through `b`;
-/// finds are recorded in `parent`, `visited`, and `next`.
+/// Run one bottom-up step on `threads` explicit workers (one runs on the
+/// calling thread): every unvisited vertex with an edge probes `frontier`
+/// (bitmap of the previous level) through `b`; finds are recorded in
+/// `parent`, `visited`, and `next`.
 ///
 /// `counters`, when given, are charged every probe as domain-local
 /// traffic (a vertex's own adjacency list lives in its domain).
@@ -245,60 +263,47 @@ pub fn par_bottom_up_step<B: BottomUpSource>(
 
     let cursor = AtomicUsize::new(0);
     let workers = threads.max(1).min(units.len());
-    let units = &units;
 
-    let results: Vec<Result<(BottomUpOutput, Option<LocalDomainCounters>)>> =
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..workers)
-                .map(|_| {
-                    let cursor = &cursor;
-                    scope.spawn(move || {
-                        let tracer = sembfs_obs::global();
-                        let step_start = tracer.is_enabled().then(|| tracer.now_ns());
-                        let mut ctx = make_ctx();
-                        let mut out = BottomUpOutput::default();
-                        let mut local = counters.map(|_| LocalDomainCounters::new(domains));
-                        loop {
-                            let u = cursor.fetch_add(1, Ordering::Relaxed);
-                            if u >= units.len() {
-                                break;
-                            }
-                            let (k, ref range) = units[u];
-                            let mut unit = BottomUpOutput::default();
-                            scan_unit(
-                                b,
-                                range.clone(),
-                                frontier,
-                                next,
-                                parent,
-                                visited,
-                                &mut ctx,
-                                &mut unit,
-                            )?;
-                            if let Some(local) = local.as_mut() {
-                                local.record(k, k, unit.dram_edges + unit.nvm_edges);
-                            }
-                            out.add(&unit);
-                        }
-                        if let Some(start_ns) = step_start {
-                            tracer.span(
-                                start_ns,
-                                tracer.now_ns(),
-                                sembfs_obs::TraceEvent::Step {
-                                    dir: sembfs_obs::Dir::BottomUp,
-                                    scanned_edges: out.dram_edges + out.nvm_edges,
-                                },
-                            );
-                        }
-                        Ok((out, local))
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("bottom-up worker panicked"))
-                .collect()
-        });
+    let results = run_workers(workers, |_| -> Result<_> {
+        let tracer = sembfs_obs::global();
+        let step_start = tracer.is_enabled().then(|| tracer.now_ns());
+        let mut ctx = make_ctx();
+        let mut out = BottomUpOutput::default();
+        let mut local = counters.map(|_| LocalDomainCounters::new(domains));
+        loop {
+            let u = cursor.fetch_add(1, Ordering::Relaxed);
+            if u >= units.len() {
+                break;
+            }
+            let (k, ref range) = units[u];
+            let mut unit = BottomUpOutput::default();
+            scan_unit(
+                b,
+                range.clone(),
+                frontier,
+                next,
+                parent,
+                visited,
+                &mut ctx,
+                &mut unit,
+            )?;
+            if let Some(local) = local.as_mut() {
+                local.record(k, k, unit.dram_edges + unit.nvm_edges);
+            }
+            out.add(&unit);
+        }
+        if let Some(start_ns) = step_start {
+            tracer.span(
+                start_ns,
+                tracer.now_ns(),
+                sembfs_obs::TraceEvent::Step {
+                    dir: sembfs_obs::Dir::BottomUp,
+                    scanned_edges: out.dram_edges + out.nvm_edges,
+                },
+            );
+        }
+        Ok((out, local))
+    });
 
     let mut total = BottomUpOutput::default();
     for r in results {
@@ -316,6 +321,7 @@ mod tests {
     use super::*;
     use crate::reference::reference_bfs;
     use crate::tree::{new_parent_array, snapshot_parents};
+    use crate::INVALID_PARENT;
     use sembfs_csr::backward::split_csr;
     use sembfs_csr::{build_csr, BuildOptions, CsrGraph};
     use sembfs_graph500::edge_list::MemEdgeList;
@@ -478,7 +484,105 @@ mod tests {
             tail,
             RangePartition::new(csr.num_vertices(), domains),
             k,
+            csr.edgeless_mask(),
         )
+    }
+
+    /// A [`BackwardGraph`] that counts the probes of every vertex.
+    struct Probed {
+        inner: BackwardGraph,
+        probes: Vec<AtomicU32>,
+    }
+
+    impl BottomUpSource for Probed {
+        fn partition(&self) -> &RangePartition {
+            self.inner.partition()
+        }
+
+        fn edgeless_words(&self) -> &[u64] {
+            self.inner.edgeless_words()
+        }
+
+        fn search_parent(
+            &self,
+            w: VertexId,
+            ctx: &mut NeighborCtx,
+            in_frontier: impl Fn(VertexId) -> bool,
+        ) -> Result<SearchOutcome> {
+            self.probes[w as usize].fetch_add(1, Ordering::Relaxed);
+            self.inner.search_parent(w, ctx, in_frontier)
+        }
+
+        fn full_degree(&self, w: VertexId, ctx: &mut NeighborCtx) -> Result<u64> {
+            self.inner.full_degree(w, ctx)
+        }
+    }
+
+    /// n = 1000 vertices of which only the 100 multiples of 10 have edges
+    /// (300 random ones among them), and its highest-degree vertex.
+    fn mostly_edgeless() -> (CsrGraph, VertexId) {
+        let mut rng = sembfs_graph500::rng::Xoshiro256::seed_from(9, 0);
+        let edges: Vec<(u32, u32)> = (0..300)
+            .map(|_| {
+                let u = (rng.next_u64() % 100) as u32 * 10;
+                (u, (rng.next_u64() % 100) as u32 * 10)
+            })
+            .collect();
+        let graph = csr(edges, 1000);
+        let root = (0..1000).max_by_key(|&v| graph.degree(v)).unwrap();
+        (graph, root)
+    }
+
+    #[test]
+    fn edgeless_vertices_are_never_probed() {
+        let (graph, root) = mostly_edgeless();
+        let want = reference_bfs(&graph, root).parent;
+        for threads in [1, 2, 4] {
+            let b = Probed {
+                inner: BackwardGraph::new(graph.clone(), RangePartition::new(1000, 3)),
+                probes: (0..1000).map(|_| AtomicU32::new(0)).collect(),
+            };
+            assert_eq!(bottom_up_bfs(&b, root, threads), want, "{threads} threads");
+            let probes: Vec<u32> = b.probes.iter().map(|p| p.load(Ordering::Relaxed)).collect();
+            for v in 0..1000u32 {
+                if graph.degree(v) == 0 {
+                    assert_eq!(probes[v as usize], 0, "edgeless vertex {v} probed");
+                }
+            }
+            // A vertex with an edge that the root does not reach is probed
+            // at every level.
+            let unreached =
+                (0..1000u32).find(|&v| graph.degree(v) > 0 && want[v as usize] == INVALID_PARENT);
+            if let Some(v) = unreached {
+                assert!(probes[v as usize] > 0);
+            }
+        }
+    }
+
+    #[test]
+    fn mostly_edgeless_trees_match_reference_on_every_source() {
+        let (graph, root) = mostly_edgeless();
+        let want = reference_bfs(&graph, root).parent;
+        assert!(want.iter().filter(|&&p| p != INVALID_PARENT).count() > 1);
+        let dir = TempDir::new("bu-edgeless").unwrap();
+        let dram = BackwardGraph::new(graph.clone(), RangePartition::new(1000, 3));
+        let k0 = split_source(&graph, 0, 3, &dir);
+        let dir2 = TempDir::new("bu-edgeless-k2").unwrap();
+        let k2 = split_source(&graph, 2, 3, &dir2);
+        assert_eq!(dram.edgeless_words(), k0.edgeless_words());
+        for threads in [1, 2, 4] {
+            assert_eq!(bottom_up_bfs(&dram, root, threads), want, "DRAM, {threads}");
+            assert_eq!(bottom_up_bfs(&k0, root, threads), want, "k=0, {threads}");
+            assert_eq!(bottom_up_bfs(&k2, root, threads), want, "k=2, {threads}");
+        }
+        // An edgeless root discovers nothing: a one-vertex tree.
+        let isolated = (0..1000).find(|&v| graph.degree(v) == 0).unwrap();
+        for b in [&k0, &k2] {
+            let (out, parent, next) = step(b, &[isolated], 2);
+            assert_eq!((out.discovered, next.count_ones()), (0, 0));
+            assert_eq!(parent[isolated as usize], isolated);
+            assert_eq!(parent.iter().filter(|&&p| p != INVALID_PARENT).count(), 1);
+        }
     }
 
     /// Vertex 5 with neighbors [0, 1, 2, 3, 4], 2 of them in DRAM.

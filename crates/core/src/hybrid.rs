@@ -23,6 +23,7 @@ use crate::level_stats::{Direction, LevelStats};
 use crate::policy::{DirectionPolicy, PolicyCtx, PolicyEvent};
 use crate::topdown::par_top_down_step;
 use crate::tree::{new_parent_array, snapshot_parents};
+use crate::workers::{run_workers, share, workers_for};
 use crate::VertexId;
 
 /// Tunables of a hybrid BFS execution.
@@ -337,12 +338,12 @@ where
         // Convert the frontier representation if the direction demands it.
         match decided {
             Direction::TopDown if bitmap_current => {
-                queue = bitmap_to_queue(&front_bm);
+                queue = bitmap_to_queue(&front_bm, threads);
                 bitmap_current = false;
             }
             Direction::BottomUp if !bitmap_current => {
                 front_bm.clear();
-                queue_to_bitmap(&queue, &front_bm);
+                queue_to_bitmap(&queue, &front_bm, threads);
                 bitmap_current = true;
             }
             _ => {}
@@ -456,6 +457,37 @@ where
     })
 }
 
+/// Least visited-bitmap words the TEPS sweep hands a worker: each set bit
+/// costs a degree lookup.
+const SWEEP_WORDS_PER_WORKER: usize = 1 << 10;
+
+/// The summed full degree of the vertices set in `visited`, on up to
+/// `cfg.threads` workers that each walk a contiguous run of its words.
+fn visited_degree_sum<B: BottomUpSource>(
+    backward: &B,
+    visited: &AtomicBitmap,
+    cfg: &BfsConfig,
+) -> Result<u64> {
+    let words = visited.num_words();
+    let workers = workers_for(words, SWEEP_WORDS_PER_WORKER, cfg.threads);
+    let make_ctx = ctx_factory(cfg);
+    run_workers(workers, |i| {
+        let mut ctx = make_ctx();
+        let mut sum = 0u64;
+        for wi in share(i, workers, words) {
+            let mut w = visited.word(wi);
+            while w != 0 {
+                let v = (wi * 64) as VertexId + w.trailing_zeros();
+                w &= w - 1;
+                sum += backward.full_degree(v, &mut ctx)?;
+            }
+        }
+        Ok(sum)
+    })
+    .into_iter()
+    .sum()
+}
+
 /// Run a hybrid BFS from `root` over `forward`/`backward` using `policy`.
 pub fn hybrid_bfs<G, B, P>(
     forward: &G,
@@ -481,20 +513,7 @@ where
 
     // TEPS edge accounting: half the summed degree of visited vertices.
     // Accounting, not traversal: outside both the timer and the run span.
-    use rayon::prelude::*;
-    let n = forward.num_vertices();
-    let degree_sum: u64 = (0..n.div_ceil(4096))
-        .into_par_iter()
-        .map_init(ctx_factory(cfg), |ctx, blk| -> Result<u64> {
-            let mut sum = 0u64;
-            for v in blk * 4096..((blk + 1) * 4096).min(n) {
-                if t.visited.get(v as VertexId) {
-                    sum += backward.full_degree(v as VertexId, ctx)?;
-                }
-            }
-            Ok(sum)
-        })
-        .try_reduce(|| 0, |a, b| Ok(a + b))?;
+    let degree_sum = visited_degree_sum(backward, &t.visited, cfg)?;
 
     if let Some((start_ns, end_ns)) = t.span_ns {
         sembfs_obs::global().span(
@@ -718,20 +737,32 @@ mod tests {
 
     #[test]
     fn isolated_root_traverses_nothing() {
-        let (fg, bg) = graphs(vec![(0, 1)], 4, 2);
-        let run = hybrid_bfs(
-            &fg,
-            &bg,
-            3,
-            &AlphaBetaPolicy::new(1e4, 1e4),
-            &BfsConfig::paper(),
-        )
-        .unwrap();
-        assert_eq!(run.visited, 1);
-        assert_eq!(run.teps_edges, 0);
-        // One level ran (the empty expansion of the root).
-        assert_eq!(run.levels.len(), 1);
-        assert_eq!(run.levels[0].discovered, 0);
+        // Vertex 3 of four, and vertex 200 of a graph where 253 of 256
+        // vertices have no edge (0–1–2 over 3 domains).
+        for (edges, n, domains, root) in
+            [(vec![(0, 1)], 4, 2, 3), (vec![(0, 1), (1, 2)], 256, 3, 200)]
+        {
+            let (fg, bg) = graphs(edges, n, domains);
+            for policy in [
+                &AlphaBetaPolicy::new(1e4, 1e4) as &dyn DirectionPolicy,
+                &FixedPolicy(Direction::TopDown),
+                &FixedPolicy(Direction::BottomUp),
+            ] {
+                for threads in [1, 2, 4] {
+                    let cfg = BfsConfig::paper().with_threads(threads);
+                    let run = hybrid_bfs(&fg, &bg, root, policy, &cfg).unwrap();
+                    assert_eq!(run.visited, 1);
+                    assert_eq!(run.teps_edges, 0);
+                    // One level ran (the empty expansion of the root).
+                    assert_eq!(run.levels.len(), 1);
+                    assert_eq!(run.levels[0].discovered, 0);
+                    let reached: Vec<VertexId> = (0..n as VertexId)
+                        .filter(|&v| run.parent[v as usize] != INVALID_PARENT)
+                        .collect();
+                    assert_eq!(reached, [root]);
+                }
+            }
+        }
     }
 
     #[test]

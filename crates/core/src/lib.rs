@@ -41,6 +41,7 @@ pub mod reference;
 pub mod scenario;
 pub mod topdown;
 pub mod tree;
+mod workers;
 
 pub use bitmap::AtomicBitmap;
 pub use bottomup::{par_bottom_up_step, BottomUpSource, SearchOutcome};

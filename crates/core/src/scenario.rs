@@ -415,7 +415,10 @@ impl ScenarioData {
                 // (value) traffic, and an unpinned index would double every
                 // probe's request count.
                 .with_dram_index()?;
-                let split = SplitBackwardGraph::new(head, tail, partition.clone(), k);
+                // The edgeless mask comes from the full CSR's degrees: no
+                // tail read at build time, and at k = 0 the head has none.
+                let split =
+                    SplitBackwardGraph::new(head, tail, partition.clone(), k, csr.edgeless_mask());
                 (BackwardStore::Split(split), Some(csr))
             }
             (Some(_), None) => {

@@ -12,7 +12,8 @@
 //! keeps its **smallest** frontier neighbor — the parent
 //! [`crate::reference_bfs`] picks — whatever the worker schedule. Exactly
 //! one proposer (the one that observed `INVALID_PARENT`) appends `w` to its
-//! thread-local next buffer; buffers are concatenated after the join.
+//! thread-local next buffer; buffers are concatenated once every worker is
+//! done.
 //! Visited bits are set only *after* the step, otherwise a larger early
 //! proposer would suppress a smaller later one.
 //!
@@ -48,6 +49,7 @@ use sembfs_numa::{DomainCounters, LocalDomainCounters, RangePartition};
 use sembfs_semext::Result;
 
 use crate::bitmap::AtomicBitmap;
+use crate::workers::run_workers;
 use crate::{VertexId, INVALID_PARENT};
 
 /// Output of one top-down step.
@@ -71,8 +73,9 @@ const LOOKAHEAD: usize = 8;
 /// (when NUMA accounting is on) its private counter deltas.
 type WorkerOutput = Result<(Vec<VertexId>, u64, Option<LocalDomainCounters>)>;
 
-/// Expand `frontier` through `g` on `threads` explicit workers, claiming
-/// unvisited neighbors with the min-parent rule.
+/// Expand `frontier` through `g` on `threads` explicit workers (one runs
+/// on the calling thread), claiming unvisited neighbors with the
+/// min-parent rule.
 ///
 /// `make_ctx` builds each worker's scratch (supplying the chunk reader
 /// appropriate for where `g` lives); `batch` is the dequeue granularity.
@@ -116,75 +119,61 @@ pub fn par_top_down_step<G: DomainNeighbors>(
         )
     };
 
-    let results: Vec<WorkerOutput> = std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..workers)
-            .map(|_| {
-                let cursor = &cursor;
-                let part = part.as_ref();
-                let unit = &unit;
-                scope.spawn(move || {
-                    let tracer = sembfs_obs::global();
-                    let step_start = tracer.is_enabled().then(|| tracer.now_ns());
-                    let mut ctx = make_ctx();
-                    let mut next = Vec::new();
-                    let mut scanned = 0u64;
-                    let mut local = counters.map(|_| LocalDomainCounters::new(domains));
-                    loop {
-                        let u = cursor.fetch_add(1, Ordering::Relaxed);
-                        if u >= total_units {
-                            break;
+    let results = run_workers(workers, |_| -> WorkerOutput {
+        let tracer = sembfs_obs::global();
+        let step_start = tracer.is_enabled().then(|| tracer.now_ns());
+        let mut ctx = make_ctx();
+        let mut next = Vec::new();
+        let mut scanned = 0u64;
+        let mut local = counters.map(|_| LocalDomainCounters::new(domains));
+        loop {
+            let u = cursor.fetch_add(1, Ordering::Relaxed);
+            if u >= total_units {
+                break;
+            }
+            if external {
+                let (index, values) = lookahead(u, LOOKAHEAD, total_units);
+                for a in index {
+                    let (k, chunk) = unit(a);
+                    g.prefetch_index(k, chunk);
+                }
+                for a in values {
+                    let (k, chunk) = unit(a);
+                    g.prefetch_values(k, chunk, &mut ctx);
+                }
+            }
+            let (k, chunk) = unit(u);
+            // One dequeue batch; batch-capable sources may serve it as a
+            // single async submission (§VI-D).
+            g.with_neighbors_batch(k, chunk, &mut ctx, &mut |v, ns| {
+                scanned += ns.len() as u64;
+                if let (Some(local), Some(part)) = (local.as_mut(), &part) {
+                    local.record(part.domain_of(v as u64), k, ns.len() as u64);
+                }
+                for &w in ns {
+                    // Visited bits are stable during the step (set after
+                    // every worker is done, below), so every frontier
+                    // neighbor of an unvisited w gets to propose.
+                    if !visited.get(w) {
+                        let prev = parent[w as usize].fetch_min(v, Ordering::Relaxed);
+                        if prev == INVALID_PARENT {
+                            next.push(w);
                         }
-                        if external {
-                            let (index, values) = lookahead(u, LOOKAHEAD, total_units);
-                            for a in index {
-                                let (k, chunk) = unit(a);
-                                g.prefetch_index(k, chunk);
-                            }
-                            for a in values {
-                                let (k, chunk) = unit(a);
-                                g.prefetch_values(k, chunk, &mut ctx);
-                            }
-                        }
-                        let (k, chunk) = unit(u);
-                        // One dequeue batch; batch-capable sources may
-                        // serve it as a single async submission (§VI-D).
-                        g.with_neighbors_batch(k, chunk, &mut ctx, &mut |v, ns| {
-                            scanned += ns.len() as u64;
-                            if let (Some(local), Some(part)) = (local.as_mut(), part) {
-                                local.record(part.domain_of(v as u64), k, ns.len() as u64);
-                            }
-                            for &w in ns {
-                                // Visited bits are stable during the
-                                // step (set after the join below), so
-                                // every frontier neighbor of an
-                                // unvisited w gets to propose.
-                                if !visited.get(w) {
-                                    let prev = parent[w as usize].fetch_min(v, Ordering::Relaxed);
-                                    if prev == INVALID_PARENT {
-                                        next.push(w);
-                                    }
-                                }
-                            }
-                        })?;
                     }
-                    if let Some(start_ns) = step_start {
-                        tracer.span(
-                            start_ns,
-                            tracer.now_ns(),
-                            sembfs_obs::TraceEvent::Step {
-                                dir: sembfs_obs::Dir::TopDown,
-                                scanned_edges: scanned,
-                            },
-                        );
-                    }
-                    Ok((next, scanned, local))
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("top-down worker panicked"))
-            .collect()
+                }
+            })?;
+        }
+        if let Some(start_ns) = step_start {
+            tracer.span(
+                start_ns,
+                tracer.now_ns(),
+                sembfs_obs::TraceEvent::Step {
+                    dir: sembfs_obs::Dir::TopDown,
+                    scanned_edges: scanned,
+                },
+            );
+        }
+        Ok((next, scanned, local))
     });
 
     let mut next = Vec::new();

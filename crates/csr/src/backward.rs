@@ -12,6 +12,11 @@
 //! stay in DRAM (the hot head — bottom-up usually terminates within a few
 //! probes), while the tail is offloaded to external memory and streamed
 //! only when the head is exhausted.
+//!
+//! Both keep a mask of the vertices with no edge at all (n/8 bytes of
+//! DRAM, built from the CSR): the bottom-up step never probes them, so a
+//! graph's isolated vertices cost no index read, and no tail read on a
+//! split layout, at any level.
 
 use std::ops::Range;
 
@@ -23,11 +28,13 @@ use crate::graph::CsrGraph;
 use crate::neighbors::NeighborCtx;
 use crate::VertexId;
 
-/// Backward graph fully in DRAM: a full CSR plus the domain partition.
+/// Backward graph fully in DRAM: a full CSR, the domain partition and
+/// the edgeless-vertex mask.
 #[derive(Debug, Clone)]
 pub struct BackwardGraph {
     csr: CsrGraph,
     partition: RangePartition,
+    edgeless: Vec<u64>,
 }
 
 impl BackwardGraph {
@@ -37,7 +44,12 @@ impl BackwardGraph {
     /// Panics when the vertex counts disagree.
     pub fn new(csr: CsrGraph, partition: RangePartition) -> Self {
         assert_eq!(csr.num_vertices(), partition.num_vertices());
-        Self { csr, partition }
+        let edgeless = csr.edgeless_mask();
+        Self {
+            csr,
+            partition,
+            edgeless,
+        }
     }
 
     /// Number of vertices.
@@ -67,14 +79,20 @@ impl BackwardGraph {
         self.csr.degree(v)
     }
 
+    /// The vertices with no edge, as [`CsrGraph::edgeless_mask`] words.
+    #[inline]
+    pub fn edgeless_words(&self) -> &[u64] {
+        &self.edgeless
+    }
+
     /// The underlying CSR.
     pub fn csr(&self) -> &CsrGraph {
         &self.csr
     }
 
-    /// DRAM footprint in bytes.
+    /// DRAM footprint in bytes: the CSR and the edgeless mask.
     pub fn byte_size(&self) -> u64 {
-        self.csr.byte_size()
+        self.csr.byte_size() + self.edgeless.len() as u64 * 8
     }
 }
 
@@ -111,21 +129,37 @@ pub struct SplitBackwardGraph<R> {
     tail: ExtCsr<R>,
     partition: RangePartition,
     k_limit: u64,
+    edgeless: Vec<u64>,
 }
 
 impl<R: ReadAt> SplitBackwardGraph<R> {
-    /// Assemble from a DRAM head and an external tail CSR.
+    /// Assemble from a DRAM head, an external tail CSR and the full CSR's
+    /// [`CsrGraph::edgeless_mask`]. The mask comes from the full graph
+    /// because at `k_limit = 0` the head has no row to tell an edgeless
+    /// vertex from one whose whole list is in the tail.
     ///
     /// # Panics
     /// Panics when shapes disagree.
-    pub fn new(head: CsrGraph, tail: ExtCsr<R>, partition: RangePartition, k_limit: u64) -> Self {
+    pub fn new(
+        head: CsrGraph,
+        tail: ExtCsr<R>,
+        partition: RangePartition,
+        k_limit: u64,
+        edgeless: Vec<u64>,
+    ) -> Self {
         assert_eq!(head.num_vertices(), partition.num_vertices());
         assert_eq!(tail.num_vertices(), head.num_vertices());
+        assert_eq!(
+            edgeless.len() as u64,
+            head.num_vertices().div_ceil(64),
+            "one mask bit per vertex"
+        );
         Self {
             head,
             tail,
             partition,
             k_limit,
+            edgeless,
         }
     }
 
@@ -181,9 +215,15 @@ impl<R: ReadAt> SplitBackwardGraph<R> {
         Ok(f(buf))
     }
 
-    /// DRAM footprint (head only).
+    /// The vertices with no edge, as [`CsrGraph::edgeless_mask`] words.
+    #[inline]
+    pub fn edgeless_words(&self) -> &[u64] {
+        &self.edgeless
+    }
+
+    /// DRAM footprint: the head and the edgeless mask.
     pub fn dram_byte_size(&self) -> u64 {
-        self.head.byte_size()
+        self.head.byte_size() + self.edgeless.len() as u64 * 8
     }
 
     /// External footprint (tail index + values).
@@ -235,7 +275,9 @@ mod tests {
         assert_eq!(bg.local_vertices(0), 0..5);
         assert_eq!(bg.local_vertices(1), 5..10);
         assert_eq!(bg.neighbors(0), csr.neighbors(0));
-        assert_eq!(bg.byte_size(), csr.byte_size());
+        // The CSR plus one mask word per 64 vertices.
+        assert_eq!(bg.byte_size(), csr.byte_size() + 8);
+        assert_eq!(bg.edgeless_words(), &[0]);
     }
 
     #[test]
@@ -287,7 +329,13 @@ mod tests {
         .with_dram_index()
         .unwrap();
 
-        let sbg = SplitBackwardGraph::new(head, tail, RangePartition::new(10, 2), 2);
+        let sbg = SplitBackwardGraph::new(
+            head,
+            tail,
+            RangePartition::new(10, 2),
+            2,
+            csr.edgeless_mask(),
+        );
         assert_eq!(sbg.k_limit(), 2);
         assert_eq!(sbg.head_neighbors(0), &[1, 2]);
         assert_eq!(sbg.tail_degree(0).unwrap(), 4);

@@ -90,6 +90,16 @@ impl CsrGraph {
         e - s
     }
 
+    /// One bit per vertex, 64 to a word (bit `v % 64` of word `v / 64`),
+    /// set when `v` has no neighbor: one pass over the index.
+    pub fn edgeless_mask(&self) -> Vec<u64> {
+        let mut mask = vec![0u64; (self.num_vertices() as usize).div_ceil(64)];
+        for (v, row) in self.index.windows(2).enumerate() {
+            mask[v / 64] |= u64::from(row[0] == row[1]) << (v % 64);
+        }
+        mask
+    }
+
     /// The raw index array.
     pub fn index(&self) -> &[u64] {
         &self.index
@@ -168,6 +178,18 @@ mod tests {
         assert_eq!(g.neighbors(3), &[1]);
         assert_eq!(g.degree(1), 3);
         assert_eq!(g.degree(2), 0);
+    }
+
+    #[test]
+    fn edgeless_mask_marks_degree_zero() {
+        assert_eq!(sample().edgeless_mask(), vec![0b0100]);
+        // 130 vertices, 3 words; only 0–129 has an edge.
+        let mut adj = vec![Vec::new(); 130];
+        adj[0].push(129);
+        adj[129].push(0);
+        let mask = CsrGraph::from_adjacency(&adj).edgeless_mask();
+        assert_eq!(mask, vec![!1, u64::MAX, 0b01]);
+        assert!(CsrGraph::new(vec![0], vec![]).edgeless_mask().is_empty());
     }
 
     #[test]

@@ -184,3 +184,33 @@ fn fixed_direction_parallel_kernels_match_reference() {
         }
     }
 }
+
+#[test]
+fn mostly_edgeless_graph_matches_reference_on_every_layout() {
+    // A SCALE-10 Kronecker graph spread over four times as many vertices:
+    // at least three in four have no edge, so every bottom-up level skips
+    // most of the vertex range by the edgeless mask. Split at k = 0 too,
+    // where the head has no row to tell an edgeless vertex apart.
+    let kr = kron(10, 61);
+    let spread = |v: VertexId| 4 * v + 1;
+    let edges = MemEdgeList::new(
+        4 << 10,
+        kr.as_slice()
+            .iter()
+            .map(|&(u, v)| (spread(u), spread(v)))
+            .collect(),
+    );
+    let mut cases = layouts(&edges);
+    cases.push((
+        "cold-tail-k0",
+        Scenario::DramPcieFlash,
+        ScenarioOptions {
+            topology: Topology::new(2, 2),
+            backward_offload_k: Some(0),
+            ..Default::default()
+        },
+    ));
+    for (label, scenario, opts) in cases {
+        assert_all_threads_match(&edges, scenario, &opts, &format!("{label}/edgeless"));
+    }
+}
