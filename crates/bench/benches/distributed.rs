@@ -1,8 +1,10 @@
-//! End-to-end benchmarks of the simulated multi-node searcher.
+//! End-to-end benchmark of the simulated multi-node searcher: host time of
+//! one search plus its traffic derivation, by node count. (The network is
+//! priced after the search, so the profile does not change host time.)
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use sembfs_core::AlphaBetaPolicy;
-use sembfs_dist::{dist_hybrid_bfs, ClusterSpec, DistGraph, NetworkProfile};
+use sembfs_dist::{dist_hybrid_bfs, ClusterSpec, DistGraph};
 use sembfs_graph500::{select_roots, KroneckerParams};
 
 const SCALE: u32 = 13;
@@ -24,27 +26,5 @@ fn bench_node_counts(c: &mut Criterion) {
     g.finish();
 }
 
-fn bench_network_profiles(c: &mut Criterion) {
-    let params = KroneckerParams::graph500(SCALE, 5);
-    let edges = params.generate();
-    let policy = AlphaBetaPolicy::new(1e4, 1e5);
-    let mut g = c.benchmark_group("dist_bfs_network");
-    g.sample_size(15);
-    for (name, net) in [
-        ("ideal", NetworkProfile::ideal()),
-        ("infiniband", NetworkProfile::infiniband_qdr()),
-        ("ten_gbe", NetworkProfile::ten_gbe()),
-    ] {
-        let mut spec = ClusterSpec::dram(4);
-        spec.network = net;
-        let graph = DistGraph::build(&edges, spec).unwrap();
-        let root = select_roots(graph.num_vertices(), 1, 2, |v| graph.degree(v))[0];
-        g.bench_with_input(BenchmarkId::from_parameter(name), &graph, |b, graph| {
-            b.iter(|| dist_hybrid_bfs(graph, root, &policy).unwrap())
-        });
-    }
-    g.finish();
-}
-
-criterion_group!(benches, bench_node_counts, bench_network_profiles);
+criterion_group!(benches, bench_node_counts);
 criterion_main!(benches);

@@ -63,8 +63,8 @@ fn main() {
                 bytes += run.net.bytes;
             }
             teps.sort_by(|a, b| a.partial_cmp(b).expect("finite"));
-            let dram_mib = (0..p).map(|k| graph.node(k).dram_bytes()).max().unwrap();
-            let nvm_mib = (0..p).map(|k| graph.node(k).nvm_bytes()).max().unwrap();
+            let dram_mib = (0..p).map(|k| graph.node_dram_bytes(k)).max().unwrap();
+            let nvm_mib = (0..p).map(|k| graph.node_nvm_bytes(k)).max().unwrap();
             table.row(&[
                 p.to_string(),
                 mteps(teps[teps.len() / 2]),

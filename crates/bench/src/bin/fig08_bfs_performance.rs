@@ -1,6 +1,6 @@
 //! Figure 8: BFS performance for the main (SCALE 27) instance — the three
-//! scenarios across switching parameters, plus the top-down-only,
-//! bottom-up-only, and Graph500-reference baselines.
+//! scenarios, each at its best switching parameters, plus the
+//! top-down-only, bottom-up-only, and Graph500-reference baselines.
 //!
 //! Paper: DRAM-only 5.12 GTEPS; DRAM+PCIeFlash 4.22 GTEPS (−19.18 %);
 //! DRAM+SSD 2.76 GTEPS (−47.1 %); top-down-only 0.6; bottom-up-only 0.4;
@@ -9,7 +9,7 @@
 use std::time::Instant;
 
 use sembfs_bench::{measure, mteps, spare_dram_for, trace_begin, trace_finish, BenchEnv, Table};
-use sembfs_core::{reference_bfs, AlphaBetaPolicy, Direction, FixedPolicy, Scenario};
+use sembfs_core::{reference_bfs, Direction, FixedPolicy, Scenario};
 
 fn main() {
     let env = BenchEnv::from_env();
@@ -25,40 +25,31 @@ fn main() {
         "alpha",
         "beta",
         "median MTEPS",
-        "vs best %",
+        "vs DRAM-only %",
     ]);
     let mut rows: Vec<(String, String, String, f64)> = Vec::new();
 
-    // Hybrid per scenario, sweeping the paper's comparison grid.
-    let sweep = [(1e4, 10.0), (1e5, 1.0), (1e6, 1.0), (1e5, 0.1)];
-    let mut dram_best = 0.0f64;
-    // No page-cache model here: at the paper's main SCALE the forward
-    // graph (40.1 GB) dwarfs the spare DRAM (≈16 GB) and the measured
-    // iostat queues (Figs. 12/13) show the reads really reached the
-    // device. Fig. 9 is the cached regime.
+    // Hybrid per scenario at the α/β the paper found best for it (§VI-B):
+    // one fixed setting each, so the gaps are not a maximum over noisy
+    // medians. No page-cache model here: at the paper's main SCALE the
+    // forward graph (40.1 GB) dwarfs the spare DRAM (≈16 GB) and the
+    // measured iostat queues (Figs. 12/13) show the reads really reached
+    // the device. Fig. 9 is the cached regime.
     let _ = spare_dram_for(&env, env.scale);
     for sc in Scenario::ALL {
         let data = env.build(&edges, sc, env.measured_options());
         trace_begin(&data);
         let roots = env.roots(&data);
-        let mut best_for_scenario = (0.0f64, 0.0, 0.0);
-        for &(alpha, bm) in &sweep {
-            let policy = AlphaBetaPolicy::new(alpha, alpha * bm);
-            let (_, median) = measure(&data, &roots, &policy);
-            if median > best_for_scenario.0 {
-                best_for_scenario = (median, alpha, alpha * bm);
-            }
-        }
-        if sc == Scenario::DramOnly {
-            dram_best = best_for_scenario.0;
-        }
+        let policy = sc.best_policy();
+        let (_, median) = measure(&data, &roots, &policy);
         rows.push((
             sc.label().to_string(),
-            format!("{:.0e}", best_for_scenario.1),
-            format!("{:.0e}", best_for_scenario.2),
-            best_for_scenario.0,
+            format!("{:.0e}", policy.alpha),
+            format!("{:.0e}", policy.beta),
+            median,
         ));
     }
+    let dram = rows[0].3; // `Scenario::ALL` starts with DRAM-only.
 
     // Baselines on the DRAM-only configuration (as in the paper).
     let data = env.build(&edges, Scenario::DramOnly, env.measured_options());
@@ -97,14 +88,13 @@ fn main() {
         ));
     }
 
-    for (label, a, b, median) in &rows {
-        let table_ref: &mut Table = &mut table;
-        table_ref.row(&[
-            label.clone(),
-            a.clone(),
-            b.clone(),
-            mteps(*median),
-            format!("{:+.1}", (median / dram_best - 1.0) * 100.0),
+    for (label, a, b, median) in rows {
+        table.row(&[
+            label,
+            a,
+            b,
+            mteps(median),
+            format!("{:+.1}", (median / dram - 1.0) * 100.0),
         ]);
     }
     table.print();

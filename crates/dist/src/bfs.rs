@@ -1,52 +1,48 @@
-//! The distributed hybrid BFS (Beamer et al., MTAAP'13, on the simulated
-//! cluster).
+//! The distributed hybrid BFS (Beamer et al., MTAAP'13) as a model over
+//! one core search.
 //!
-//! Level-synchronous with two communication patterns:
+//! The search itself is the core engine's level loop
+//! ([`ScenarioData::run`](sembfs_core::ScenarioData::run)) on the
+//! cluster's layout, one worker per node. The 1-D communication of each
+//! level is then read off the tree:
 //!
-//! * **top-down**: owners of frontier vertices expand locally and send
-//!   `(child, parent)` claims to each child's owner (an all-to-all of
-//!   8-byte pairs); owners apply claims first-wins.
+//! * **top-down**: frontier owners send `(child, parent)` claims to each
+//!   child's owner, 8 bytes per claim. Every edge from level `d` to level
+//!   `d+1` is a claim; claims whose endpoints share an owner never reach
+//!   the network and are not charged. One message per ordered node pair
+//!   that exchanges claims.
 //! * **bottom-up**: one allgather replicates the frontier bitmap
-//!   (`n/8 · (p−1)` bytes, `⌈log₂ p⌉` rounds), then every node probes its
-//!   local unvisited vertices with early termination, no per-edge
+//!   (`⌈n/64⌉·8·(p−1)` bytes in `⌈log₂ p⌉` rounds, at least 1), then every
+//!   node probes its local unvisited vertices with no per-edge
 //!   communication — the property that made bottom-up attractive for
 //!   distributed memory in the first place.
 //!
-//! Nodes execute one after another on the host; the simulated level time
-//! is the **maximum** node time plus the modeled network phase, which is
-//! what a synchronous cluster would observe.
+//! The simulated level time is the measured step time split evenly over
+//! the `p` nodes (a perfectly balanced partition of the work) plus the
+//! modeled network phase.
 
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
-use sembfs_core::policy::{DirectionPolicy, PolicyCtx};
-use sembfs_core::Direction;
+use sembfs_core::policy::DirectionPolicy;
+use sembfs_core::{BfsConfig, Direction, LevelStats};
+use sembfs_graph500::validate::{compute_levels, INVALID_LEVEL};
 use sembfs_semext::Result;
 
 use crate::cluster::DistGraph;
 use crate::network::NetStats;
-use crate::{VertexId, INVALID_PARENT};
+use crate::VertexId;
 
 /// Per-level measurements of the distributed search.
 #[derive(Debug, Clone)]
 pub struct DistLevelStats {
-    /// Level number (1 = first expansion).
-    pub level: u32,
-    /// Direction of the level.
-    pub direction: Direction,
-    /// Global frontier size consumed.
-    pub frontier_size: u64,
-    /// Vertices discovered.
-    pub discovered: u64,
-    /// Edges examined across all nodes.
-    pub scanned_edges: u64,
-    /// Simulated level time: `max_k(compute_k) + network`.
+    /// The core engine's measurements of the level, over the whole graph.
+    pub core: LevelStats,
+    /// Simulated level time: `core.elapsed / p + net_time`.
     pub sim_time: Duration,
     /// The level's network share of `sim_time`.
     pub net_time: Duration,
     /// Bytes exchanged this level.
     pub net_bytes: u64,
-    /// Slowest node's compute time this level.
-    pub max_node_compute: Duration,
 }
 
 /// Result of a distributed BFS.
@@ -78,277 +74,127 @@ impl DistBfsRun {
     }
 }
 
-/// A plain (single-writer-per-level) bitmap over all vertices.
-struct Bitmap {
-    words: Vec<u64>,
-}
-
-impl Bitmap {
-    fn new(n: u64) -> Self {
-        Self {
-            words: vec![0; n.div_ceil(64) as usize],
-        }
-    }
-
-    #[inline]
-    fn get(&self, i: VertexId) -> bool {
-        self.words[i as usize / 64] & (1 << (i % 64)) != 0
-    }
-
-    #[inline]
-    fn set(&mut self, i: VertexId) {
-        self.words[i as usize / 64] |= 1 << (i % 64);
-    }
-
-    fn clear(&mut self) {
-        self.words.fill(0);
-    }
-
-    fn byte_size(&self) -> u64 {
-        self.words.len() as u64 * 8
-    }
-}
-
 /// Run the distributed hybrid BFS from `root` under `policy`.
 pub fn dist_hybrid_bfs(
     graph: &DistGraph,
     root: VertexId,
     policy: &dyn DirectionPolicy,
 ) -> Result<DistBfsRun> {
-    let n = graph.num_vertices();
-    assert!((root as u64) < n, "root out of range");
     let p = graph.num_nodes();
+    let run = graph
+        .data()
+        .run(root, policy, &BfsConfig::paper().with_threads(1))?;
+    let claims = remote_claims(graph, &run.parent, root, &run.levels);
 
-    let mut parent: Vec<VertexId> = vec![INVALID_PARENT; n as usize];
-    parent[root as usize] = root;
-    let mut visited = Bitmap::new(n);
-    visited.set(root);
-
-    // Frontier: per-node local queues (top-down) or a global bitmap
-    // replica (bottom-up) — on a real cluster the queue entries live at
-    // their owners and the bitmap is the allgathered replica.
-    let mut queues: Vec<Vec<VertexId>> = vec![Vec::new(); p];
-    queues[graph.owner(root)].push(root);
-    let mut front_bm = Bitmap::new(n);
-    let mut next_bm = Bitmap::new(n);
-    let mut bitmap_current = false;
-
-    let mut levels = Vec::new();
+    let gather_bytes = graph.num_vertices().div_ceil(64) * 8 * (p as u64 - 1);
+    let gather_rounds = (p as u32).next_power_of_two().trailing_zeros().max(1);
     let mut net = NetStats::default();
-    let mut direction = Direction::TopDown;
-    let mut prev_frontier = 0u64;
-    let mut frontier_size = 1u64;
-    let mut visited_count = 1u64;
-    let mut level = 1u32;
     let mut sim_elapsed = Duration::ZERO;
-
-    let (mut buf, mut scratch) = (Vec::new(), Vec::new());
-    let mut outboxes: Vec<Vec<(VertexId, VertexId)>> = vec![Vec::new(); p];
-
-    while frontier_size > 0 {
-        let decided = policy.decide(&PolicyCtx {
-            current: direction,
-            level,
-            n_all: n,
-            frontier: frontier_size,
-            prev_frontier,
-            frontier_edges: None,
-            unvisited: n - visited_count,
-            event: None,
-        });
-        // Representation conversion at switches.
-        match decided {
-            Direction::TopDown if bitmap_current => {
-                for q in &mut queues {
-                    q.clear();
-                }
-                for (wi, &word) in front_bm.words.iter().enumerate() {
-                    let mut w = word;
-                    while w != 0 {
-                        let bit = w.trailing_zeros();
-                        w &= w - 1;
-                        let v = (wi * 64) as u64 + bit as u64;
-                        if v < n {
-                            queues[graph.owner(v as VertexId)].push(v as VertexId);
-                        }
-                    }
-                }
-                bitmap_current = false;
-            }
-            Direction::BottomUp if !bitmap_current => {
-                front_bm.clear();
-                for q in &queues {
-                    for &v in q {
-                        front_bm.set(v);
-                    }
-                }
-                // The conversion itself is local (owners set their bits);
-                // the allgather below shares it.
-                bitmap_current = true;
-            }
-            _ => {}
-        }
-        direction = decided;
-
-        let mut scanned = 0u64;
-        let mut discovered = 0u64;
-        let mut max_compute = Duration::ZERO;
-        let mut net_bytes = 0u64;
-        let net_time;
-
-        match direction {
+    let mut levels = Vec::with_capacity(run.levels.len());
+    for (core, pairs) in run.levels.into_iter().zip(claims) {
+        let (net_bytes, rounds) = match core.direction {
             Direction::TopDown => {
-                // Expand phase, one node at a time (simulated parallel).
-                for (k, queue) in queues.iter().enumerate() {
-                    let t0 = Instant::now();
-                    let range = graph.partition().range(k);
-                    for &v in queue {
-                        let row = v as u64 - range.start;
-                        graph
-                            .node(k)
-                            .with_neighbors(row, &mut buf, &mut scratch, |ns| {
-                                scanned += ns.len() as u64;
-                                for &w in ns {
-                                    // Cheap local pre-filter on the replica of
-                                    // the visited set (a real system filters
-                                    // with its local stale copy too; owners
-                                    // re-check on apply).
-                                    if parent[w as usize] == INVALID_PARENT {
-                                        outboxes[graph.owner(w)].push((w, v));
-                                    }
-                                }
-                            })?;
-                    }
-                    max_compute = max_compute.max(t0.elapsed());
+                for &count in pairs.iter().filter(|&&c| c > 0) {
+                    net.message(8 * count);
                 }
-                // Exchange phase: all-to-all of claims. (Claims a node
-                // addresses to itself never hit the wire; since outboxes
-                // are keyed by destination and most claims cross the
-                // partition on a scrambled graph, we charge the full
-                // volume — the self-share is O(1/p).)
-                for outbox in outboxes.iter() {
-                    let bytes = outbox.len() as u64 * 8;
-                    if bytes > 0 {
-                        net.message(bytes);
-                        net_bytes += bytes;
-                    }
-                }
-                net_time = graph.spec().network.phase_time(net_bytes, 1);
-                // Apply phase at the owners.
-                let mut apply_max = Duration::ZERO;
-                for (k, q) in queues.iter_mut().enumerate() {
-                    q.clear();
-                    let t0 = Instant::now();
-                    for &(w, src) in &outboxes[k] {
-                        if parent[w as usize] == INVALID_PARENT {
-                            parent[w as usize] = src;
-                            visited.set(w);
-                            q.push(w);
-                            discovered += 1;
-                        }
-                    }
-                    apply_max = apply_max.max(t0.elapsed());
-                }
-                max_compute += apply_max;
-                for outbox in &mut outboxes {
-                    outbox.clear();
-                }
+                (8 * pairs.iter().sum::<u64>(), 1)
             }
             Direction::BottomUp => {
-                // Allgather the frontier bitmap replica.
-                let gather_bytes = front_bm.byte_size() * (p as u64 - 1);
                 if gather_bytes > 0 {
                     net.collective(gather_bytes);
-                    net_bytes += gather_bytes;
                 }
-                net_time = graph.spec().network.phase_time(
-                    gather_bytes,
-                    (p as u32).next_power_of_two().trailing_zeros().max(1),
-                );
-
-                next_bm.clear();
-                for k in 0..p {
-                    let t0 = Instant::now();
-                    let range = graph.partition().range(k);
-                    for v in range.clone() {
-                        let v = v as VertexId;
-                        if visited.get(v) {
-                            continue;
-                        }
-                        let row = v as u64 - range.start;
-                        // Bottom-up always probes the DRAM-resident copy
-                        // (the paper's layout, applied per node).
-                        let ns = graph.node(k).bu_neighbors(row);
-                        let mut found = None;
-                        for (i, &u) in ns.iter().enumerate() {
-                            if front_bm.get(u) {
-                                scanned += i as u64 + 1;
-                                found = Some(u);
-                                break;
-                            }
-                        }
-                        if found.is_none() {
-                            scanned += ns.len() as u64;
-                        }
-                        if let Some(u) = found {
-                            parent[v as usize] = u;
-                            visited.set(v);
-                            next_bm.set(v);
-                            discovered += 1;
-                        }
-                    }
-                    max_compute = max_compute.max(t0.elapsed());
-                }
-                std::mem::swap(&mut front_bm, &mut next_bm);
+                (gather_bytes, gather_rounds)
             }
-        }
-
-        let sim_time = max_compute + net_time;
+        };
+        let net_time = graph.spec().network.phase_time(net_bytes, rounds);
+        let sim_time = core.elapsed / p as u32 + net_time;
         sim_elapsed += sim_time;
-        visited_count += discovered;
         levels.push(DistLevelStats {
-            level,
-            direction,
-            frontier_size,
-            discovered,
-            scanned_edges: scanned,
+            core,
             sim_time,
             net_time,
             net_bytes,
-            max_node_compute: max_compute,
         });
-        prev_frontier = frontier_size;
-        frontier_size = discovered;
-        level += 1;
     }
 
-    // TEPS edge accounting from global degrees.
-    let teps_edges = (0..n as usize)
-        .filter(|&v| parent[v] != INVALID_PARENT)
-        .map(|v| graph.degree(v as VertexId))
-        .sum::<u64>()
-        / 2;
-
     Ok(DistBfsRun {
-        parent,
+        parent: run.parent,
         levels,
-        visited: visited_count,
-        teps_edges,
+        visited: run.visited,
+        teps_edges: run.teps_edges,
         sim_elapsed,
         net,
     })
+}
+
+/// Remote top-down claims of each level, as counts indexed
+/// `[level − 1][src · p + dst]` by the owners of the frontier vertex and
+/// of the claimed child (all zero on bottom-up levels): one pass over the
+/// CSR counting the edges `(u, w)` with `level(w) = level(u) + 1`.
+fn remote_claims(
+    graph: &DistGraph,
+    parent: &[VertexId],
+    root: VertexId,
+    levels: &[LevelStats],
+) -> Vec<Vec<u64>> {
+    let p = graph.num_nodes();
+    let depth = compute_levels(parent, root).expect("the core engine returns a valid tree");
+    let csr = graph.data().csr();
+    let mut claims = vec![vec![0u64; p * p]; levels.len()];
+    for src in 0..p {
+        for u in graph.partition().range(src) {
+            let d = depth[u as usize];
+            // The step producing level d + 1 is `levels[d]`.
+            if d == INVALID_LEVEL || levels[d as usize].direction != Direction::TopDown {
+                continue;
+            }
+            for &w in csr.neighbors(u as VertexId) {
+                let dst = graph.owner(w);
+                if depth[w as usize] == d + 1 && dst != src {
+                    claims[d as usize][src * p + dst] += 1;
+                }
+            }
+        }
+    }
+    claims
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::cluster::ClusterSpec;
-    use sembfs_core::{AlphaBetaPolicy, FixedPolicy};
+    use sembfs_core::{reference_bfs, AlphaBetaPolicy, FixedPolicy};
     use sembfs_graph500::edge_list::MemEdgeList;
     use sembfs_graph500::{select_roots, validate_bfs_tree, KroneckerParams};
 
     fn kron(scale: u32, seed: u64) -> MemEdgeList {
         KroneckerParams::graph500(scale, seed).generate()
+    }
+
+    /// Bytes of the remote claims of `run`'s top-down levels, counted edge
+    /// by edge from the edge list and the reference tree's levels.
+    pub(super) fn brute_force_claim_bytes(
+        el: &MemEdgeList,
+        g: &DistGraph,
+        root: VertexId,
+        run: &DistBfsRun,
+    ) -> u64 {
+        let reference = reference_bfs(g.data().csr(), root);
+        let depth = compute_levels(&reference.parent, root).unwrap();
+        let mut bytes = 0;
+        for &(a, b) in el.as_slice() {
+            for (u, w) in [(a, b), (b, a)] {
+                let (du, dw) = (depth[u as usize], depth[w as usize]);
+                if du != INVALID_LEVEL
+                    && dw == du + 1
+                    && run.levels[du as usize].core.direction == Direction::TopDown
+                    && g.owner(u) != g.owner(w)
+                {
+                    bytes += 8;
+                }
+            }
+        }
+        bytes
     }
 
     #[test]
@@ -370,11 +216,33 @@ mod tests {
         for &root in &roots {
             let a = dist_hybrid_bfs(&single, root, &AlphaBetaPolicy::new(1e4, 1e5)).unwrap();
             let b = dist_hybrid_bfs(&multi, root, &AlphaBetaPolicy::new(1e4, 1e5)).unwrap();
-            let la = sembfs_graph500::validate::compute_levels(&a.parent, root).unwrap();
-            let lb = sembfs_graph500::validate::compute_levels(&b.parent, root).unwrap();
+            let la = compute_levels(&a.parent, root).unwrap();
+            let lb = compute_levels(&b.parent, root).unwrap();
             assert_eq!(la, lb, "root {root}");
             assert_eq!(a.visited, b.visited);
             validate_bfs_tree(&b.parent, root, &el).unwrap();
+        }
+    }
+
+    #[test]
+    fn trees_equal_reference_at_every_node_count() {
+        let policies: [&dyn DirectionPolicy; 3] = [
+            &AlphaBetaPolicy::new(1e4, 1e5),
+            &FixedPolicy(Direction::TopDown),
+            &FixedPolicy(Direction::BottomUp),
+        ];
+        for scale in [10, 12] {
+            let el = kron(scale, 7);
+            for p in [1, 2, 3, 4, 8] {
+                let g = DistGraph::build(&el, ClusterSpec::dram(p)).unwrap();
+                for root in select_roots(g.num_vertices(), 2, 3, |v| g.degree(v)) {
+                    let want = reference_bfs(g.data().csr(), root).parent;
+                    for policy in policies {
+                        let run = dist_hybrid_bfs(&g, root, policy).unwrap();
+                        assert!(run.parent == want, "SCALE {scale} p {p} root {root}");
+                    }
+                }
+            }
         }
     }
 
@@ -400,17 +268,25 @@ mod tests {
         spec.network = crate::NetworkProfile::ten_gbe();
         let g = DistGraph::build(&el, spec).unwrap();
         let root = select_roots(g.num_vertices(), 1, 5, |v| g.degree(v))[0];
-        let run = dist_hybrid_bfs(&g, root, &AlphaBetaPolicy::new(1e4, 1e5)).unwrap();
-        assert!(run.net.bytes > 0, "multi-node run must communicate");
-        assert!(run.levels.iter().any(|l| l.net_time > Duration::ZERO));
-        // Bottom-up levels do collectives; top-down levels do messages.
-        if run
+        // α/β (15, 20) runs top-down levels on both sides of its
+        // bottom-up ones at this size.
+        let run = dist_hybrid_bfs(&g, root, &AlphaBetaPolicy::new(15.0, 20.0)).unwrap();
+        let (td, bu): (Vec<_>, Vec<_>) = run
             .levels
             .iter()
-            .any(|l| l.direction == Direction::BottomUp)
-        {
-            assert!(run.net.collectives > 0);
-        }
+            .partition(|l| l.core.direction == Direction::TopDown);
+        assert!(
+            !td.is_empty() && !bu.is_empty(),
+            "policy must mix directions"
+        );
+        let gather = g.num_vertices().div_ceil(64) * 8 * 3;
+        assert!(bu.iter().all(|l| l.net_bytes == gather));
+        assert_eq!(run.net.collectives, bu.len() as u64);
+        let td_bytes: u64 = td.iter().map(|l| l.net_bytes).sum();
+        assert!(td_bytes > 0);
+        assert_eq!(td_bytes, brute_force_claim_bytes(&el, &g, root, &run));
+        assert_eq!(run.net.bytes, td_bytes + gather * bu.len() as u64);
+        assert!(run.levels.iter().all(|l| l.net_time > Duration::ZERO));
         assert!(run.sim_teps() > 0.0);
     }
 
@@ -419,9 +295,11 @@ mod tests {
         let el = kron(9, 8);
         let g = DistGraph::build(&el, ClusterSpec::dram(1)).unwrap();
         let root = select_roots(g.num_vertices(), 1, 5, |v| g.degree(v))[0];
-        let run = dist_hybrid_bfs(&g, root, &AlphaBetaPolicy::new(1e4, 1e5)).unwrap();
-        assert_eq!(run.net.bytes, 0);
-        assert_eq!(run.net.messages, 0);
+        let run = dist_hybrid_bfs(&g, root, &AlphaBetaPolicy::new(15.0, 20.0)).unwrap();
+        let dirs = |d| run.levels.iter().filter(|l| l.core.direction == d).count();
+        assert!(dirs(Direction::TopDown) > 0 && dirs(Direction::BottomUp) > 0);
+        assert_eq!(run.net, NetStats::default());
+        assert!(run.levels.iter().all(|l| l.net_bytes == 0));
     }
 
     #[test]
@@ -433,24 +311,26 @@ mod tests {
         let root = select_roots(g.num_vertices(), 1, 3, |v| g.degree(v))[0];
         let run = dist_hybrid_bfs(&g, root, &AlphaBetaPolicy::new(1e4, 1e5)).unwrap();
         validate_bfs_tree(&run.parent, root, &el).unwrap();
-        let reqs: u64 = (0..2)
-            .map(|k| g.node(k).device().unwrap().snapshot().requests)
-            .sum();
-        assert!(reqs > 0, "node devices must have served reads");
+        let reqs = g.device().unwrap().snapshot().requests;
+        assert!(reqs > 0, "the node device must have served reads");
     }
 }
 
 #[cfg(test)]
 mod level_semantics_tests {
+    use super::tests::brute_force_claim_bytes;
     use super::*;
     use crate::cluster::ClusterSpec;
-    use sembfs_core::AlphaBetaPolicy;
+    use sembfs_core::{AlphaBetaPolicy, FixedPolicy};
     use sembfs_graph500::edge_list::MemEdgeList;
 
     /// Star-with-tail: 0-{1,2,3}, 3-4, 4-5 over 3 nodes of 2 vertices.
+    fn edges() -> MemEdgeList {
+        MemEdgeList::new(6, vec![(0, 1), (0, 2), (0, 3), (3, 4), (4, 5)])
+    }
+
     fn graph() -> DistGraph {
-        let el = MemEdgeList::new(6, vec![(0, 1), (0, 2), (0, 3), (3, 4), (4, 5)]);
-        DistGraph::build(&el, ClusterSpec::dram(3)).unwrap()
+        DistGraph::build(&edges(), ClusterSpec::dram(3)).unwrap()
     }
 
     #[test]
@@ -460,30 +340,39 @@ mod level_semantics_tests {
         // Frontier sizes chain: each level's input is the prior's output.
         let mut expect = 1;
         for l in &run.levels {
-            assert_eq!(l.frontier_size, expect, "level {}", l.level);
-            expect = l.discovered;
+            assert_eq!(l.core.frontier_size, expect, "level {}", l.core.level);
+            expect = l.core.discovered;
         }
         assert_eq!(run.visited, 6);
         // Simulated time covers every level.
-        let total: std::time::Duration = run.levels.iter().map(|l| l.sim_time).sum();
+        let total: Duration = run.levels.iter().map(|l| l.sim_time).sum();
         assert_eq!(total, run.sim_elapsed);
     }
 
     #[test]
     fn top_down_traffic_is_claim_sized() {
         let g = graph();
-        let run = dist_hybrid_bfs(&g, 0, &sembfs_core::FixedPolicy(Direction::TopDown)).unwrap();
-        // Every message byte is an 8-byte (child, parent) claim.
-        assert_eq!(run.net.bytes % 8, 0);
+        let run = dist_hybrid_bfs(&g, 0, &FixedPolicy(Direction::TopDown)).unwrap();
+        // Level 1 sends 0→2 and 0→3 from node 0 to node 1 (0→1 stays on
+        // node 0); level 2 sends 3→4 from node 1 to node 2; 4→5 is local.
+        let bytes: Vec<u64> = run.levels.iter().map(|l| l.net_bytes).collect();
+        assert_eq!(bytes, [16, 8, 0, 0]);
+        assert_eq!(
+            run.net.bytes,
+            brute_force_claim_bytes(&edges(), &g, 0, &run)
+        );
+        assert_eq!(run.net.messages, 2, "one message per node pair and level");
         assert_eq!(run.net.collectives, 0, "pure top-down never allgathers");
     }
 
     #[test]
     fn bottom_up_traffic_is_bitmap_sized() {
         let g = graph();
-        let run = dist_hybrid_bfs(&g, 0, &sembfs_core::FixedPolicy(Direction::BottomUp)).unwrap();
+        let run = dist_hybrid_bfs(&g, 0, &FixedPolicy(Direction::BottomUp)).unwrap();
         assert_eq!(run.net.messages, 0, "pure bottom-up sends no claims");
-        assert!(run.net.collectives as usize >= run.levels.len());
+        assert_eq!(run.net.collectives as usize, run.levels.len());
+        // One bitmap word to each of the two other nodes, every level.
+        assert!(run.levels.iter().all(|l| l.net_bytes == 16));
     }
 
     #[test]

@@ -1,14 +1,12 @@
-//! The simulated cluster and its per-node graph partitions.
+//! The simulated cluster: one core layout whose `p` NUMA domains are the
+//! nodes.
 
 use std::sync::Arc;
 
-use sembfs_csr::{build_csr, BuildOptions, CsrGraph};
+use sembfs_core::{Scenario, ScenarioData, ScenarioOptions};
 use sembfs_graph500::edge_list::EdgeList;
-use sembfs_numa::RangePartition;
-use sembfs_semext::ext_csr::{write_csr_files, ExtCsr};
-use sembfs_semext::{
-    ChunkedReader, DelayMode, Device, DeviceProfile, FileBackend, NvmStore, Result, TempDir,
-};
+use sembfs_numa::{RangePartition, Topology};
+use sembfs_semext::{DelayMode, Device, DeviceProfile, Result};
 
 use crate::network::NetworkProfile;
 use crate::VertexId;
@@ -20,10 +18,10 @@ pub struct ClusterSpec {
     pub nodes: usize,
     /// Interconnect model.
     pub network: NetworkProfile,
-    /// When set, each node offloads its adjacency to its *own* simulated
-    /// device of this profile — the paper's technique applied per node.
+    /// When set, the nodes offload their forward adjacency to a device of
+    /// this profile — the paper's technique applied per node.
     pub node_nvm: Option<DeviceProfile>,
-    /// Whether node devices really delay (affects measured compute).
+    /// Whether the device really delays (affects measured compute).
     pub delay_mode: DelayMode,
 }
 
@@ -50,88 +48,11 @@ impl ClusterSpec {
     }
 }
 
-/// Where a node keeps the adjacency of its local vertices
-/// (rows are indexed locally: row `i` is vertex `range.start + i`).
-///
-/// The NVM variant mirrors the paper's single-node layout per node: the
-/// **forward** copy (read by the top-down phase) lives on the node's
-/// device, while the **backward** copy (read by the latency-critical
-/// bottom-up probes) stays in the node's DRAM — §V-A applied at every
-/// node.
-#[derive(Debug)]
-pub enum NodeStorage {
-    /// Local adjacency in the node's DRAM (used by both phases).
-    Dram(CsrGraph),
-    /// Forward copy on the node's device; backward copy in DRAM.
-    Nvm {
-        /// The external forward CSR (index + values on the device).
-        forward: ExtCsr<NvmStore<FileBackend>>,
-        /// The DRAM-resident backward copy.
-        backward: CsrGraph,
-        /// The node's device.
-        device: Arc<Device>,
-        /// Matching chunk reader.
-        reader: ChunkedReader,
-    },
-}
-
-impl NodeStorage {
-    /// Visit the neighbors of local row `i` (global vertex IDs) on the
-    /// **top-down** path: reads the device when the forward copy is
-    /// offloaded.
-    pub fn with_neighbors<T>(
-        &self,
-        i: u64,
-        buf: &mut Vec<VertexId>,
-        scratch: &mut Vec<u8>,
-        f: impl FnOnce(&[VertexId]) -> T,
-    ) -> Result<T> {
-        match self {
-            NodeStorage::Dram(csr) => Ok(f(csr.neighbors(i as VertexId))),
-            NodeStorage::Nvm {
-                forward, reader, ..
-            } => {
-                forward.read_neighbors(i, reader, buf, scratch)?;
-                Ok(f(buf))
-            }
-        }
-    }
-
-    /// Neighbors of local row `i` on the **bottom-up** path: always DRAM
-    /// (the paper keeps the backward graph resident, §V-A).
-    pub fn bu_neighbors(&self, i: u64) -> &[VertexId] {
-        match self {
-            NodeStorage::Dram(csr) => csr.neighbors(i as VertexId),
-            NodeStorage::Nvm { backward, .. } => backward.neighbors(i as VertexId),
-        }
-    }
-
-    /// The node's device, when storage is external.
-    pub fn device(&self) -> Option<&Arc<Device>> {
-        match self {
-            NodeStorage::Dram(_) => None,
-            NodeStorage::Nvm { device, .. } => Some(device),
-        }
-    }
-
-    /// Local adjacency bytes held in DRAM.
-    pub fn dram_bytes(&self) -> u64 {
-        match self {
-            NodeStorage::Dram(csr) => csr.byte_size(),
-            NodeStorage::Nvm { backward, .. } => backward.byte_size(),
-        }
-    }
-
-    /// Local adjacency bytes held on the node's device.
-    pub fn nvm_bytes(&self) -> u64 {
-        match self {
-            NodeStorage::Dram(_) => 0,
-            NodeStorage::Nvm { forward, .. } => forward.byte_size(),
-        }
-    }
-}
-
-/// The partitioned graph: one storage per node plus global metadata.
+/// The partitioned graph: one [`ScenarioData`] with one NUMA domain per
+/// node, so node `k` owns domain `k`'s vertex range. Without NVM it is
+/// the DRAM-only layout; with NVM, the DRAM+PCIeFlash layout on the
+/// spec's device profile (forward graph on the device, backward graph in
+/// DRAM — §V-A applied at every node).
 ///
 /// ```
 /// use sembfs_dist::{dist_hybrid_bfs, ClusterSpec, DistGraph};
@@ -142,76 +63,30 @@ impl NodeStorage {
 /// let graph = DistGraph::build(&edges, ClusterSpec::dram(4)).unwrap();
 /// let run = dist_hybrid_bfs(&graph, 0, &AlphaBetaPolicy::new(1e3, 1e3)).unwrap();
 /// assert_eq!(run.visited, 8);
-/// assert!(run.net.bytes > 0); // frontier claims crossed node boundaries
+/// assert!(run.net.bytes > 0); // the frontier crossed node boundaries
 /// ```
 #[derive(Debug)]
 pub struct DistGraph {
     spec: ClusterSpec,
-    partition: RangePartition,
-    nodes: Vec<NodeStorage>,
-    /// Global per-vertex degrees (measurement scaffolding for TEPS edge
-    /// accounting and root selection; a real cluster would keep its local
-    /// slice only).
-    degrees: Vec<u32>,
-    _tempdir: Option<TempDir>,
+    data: ScenarioData,
 }
 
 impl DistGraph {
-    /// Partition `edges` across the cluster (Graph500 Step 2, per node).
+    /// Build the cluster's layout from `edges` (Graph500 Step 2).
     pub fn build(edges: &dyn EdgeList, spec: ClusterSpec) -> Result<Self> {
         assert!(spec.nodes > 0, "cluster needs at least one node");
-        let full = build_csr(edges, BuildOptions::default())?;
-        let n = full.num_vertices();
-        let partition = RangePartition::new(n, spec.nodes);
-        let degrees: Vec<u32> = (0..n).map(|v| full.degree(v as VertexId) as u32).collect();
-
-        let tempdir = if spec.node_nvm.is_some() {
-            Some(TempDir::new("dist")?)
-        } else {
-            None
+        let scenario = match spec.node_nvm {
+            Some(_) => Scenario::DramPcieFlash,
+            None => Scenario::DramOnly,
         };
-
-        let mut nodes = Vec::with_capacity(spec.nodes);
-        for k in 0..spec.nodes {
-            let range = partition.range(k);
-            // Slice the node's rows out of the full CSR, re-based to 0.
-            let base = full.index()[range.start as usize];
-            let end = full.index()[range.end as usize];
-            let local_index: Vec<u64> = full.index()[range.start as usize..=range.end as usize]
-                .iter()
-                .map(|&off| off - base)
-                .collect();
-            let local_values = full.values()[base as usize..end as usize].to_vec();
-            let local = CsrGraph::new(local_index, local_values);
-
-            match (&spec.node_nvm, &tempdir) {
-                (Some(profile), Some(dir)) => {
-                    let ip = dir.path().join(format!("node-{k}.index"));
-                    let vp = dir.path().join(format!("node-{k}.values"));
-                    write_csr_files(&ip, &vp, local.index(), local.values())?;
-                    let device = Device::new(profile.clone(), spec.delay_mode);
-                    let reader = ChunkedReader::for_device(&device);
-                    let forward = ExtCsr::new(
-                        NvmStore::new(FileBackend::open(&ip)?, device.clone()),
-                        NvmStore::new(FileBackend::open(&vp)?, device.clone()),
-                    )?;
-                    nodes.push(NodeStorage::Nvm {
-                        forward,
-                        backward: local,
-                        device,
-                        reader,
-                    });
-                }
-                _ => nodes.push(NodeStorage::Dram(local)),
-            }
-        }
-        Ok(Self {
-            spec,
-            partition,
-            nodes,
-            degrees,
-            _tempdir: tempdir,
-        })
+        let options = ScenarioOptions {
+            topology: Topology::new(spec.nodes, 1),
+            delay_mode: spec.delay_mode,
+            device_profile_override: spec.node_nvm.clone(),
+            ..Default::default()
+        };
+        let data = ScenarioData::build(edges, scenario, options)?;
+        Ok(Self { spec, data })
     }
 
     /// The cluster configuration.
@@ -219,44 +94,76 @@ impl DistGraph {
         &self.spec
     }
 
+    /// The layout every search runs on.
+    pub fn data(&self) -> &ScenarioData {
+        &self.data
+    }
+
     /// The vertex partition (node `k` owns `partition.range(k)`).
     pub fn partition(&self) -> &RangePartition {
-        &self.partition
+        self.data.partition()
     }
 
     /// Number of nodes `p`.
     pub fn num_nodes(&self) -> usize {
-        self.nodes.len()
+        self.spec.nodes
     }
 
     /// Number of vertices `n`.
     pub fn num_vertices(&self) -> u64 {
-        self.partition.num_vertices()
-    }
-
-    /// Node `k`'s storage.
-    pub fn node(&self, k: usize) -> &NodeStorage {
-        &self.nodes[k]
+        self.data.num_vertices()
     }
 
     /// Owner node of vertex `v`.
     #[inline]
     pub fn owner(&self, v: VertexId) -> usize {
-        self.partition.domain_of(v as u64)
+        self.partition().domain_of(v as u64)
     }
 
-    /// Degree of vertex `v` (global metadata).
+    /// Degree of vertex `v`.
     #[inline]
     pub fn degree(&self, v: VertexId) -> u64 {
-        self.degrees[v as usize] as u64
+        self.data.degree(v)
+    }
+
+    /// The simulated device, when the nodes offload (one model meters
+    /// every node's reads).
+    pub fn device(&self) -> Option<&Arc<Device>> {
+        self.data.device()
+    }
+
+    /// Bytes of node `k`'s adjacency rows as a CSR of its own:
+    /// `8·(rows+1)` of index plus `4·edges` of values.
+    fn node_adjacency_bytes(&self, k: usize) -> u64 {
+        let range = self.partition().range(k);
+        let index = self.data.csr().index();
+        let edges = index[range.end as usize] - index[range.start as usize];
+        8 * (range.end - range.start + 1) + 4 * edges
+    }
+
+    /// Adjacency bytes node `k` holds in DRAM: its rows, which serve both
+    /// directions, or the backward copy when the forward one is offloaded.
+    pub fn node_dram_bytes(&self, k: usize) -> u64 {
+        self.node_adjacency_bytes(k)
+    }
+
+    /// Adjacency bytes node `k` holds on its device: the forward copy of
+    /// its rows, or 0 without NVM.
+    pub fn node_nvm_bytes(&self, k: usize) -> u64 {
+        match self.spec.node_nvm {
+            Some(_) => self.node_adjacency_bytes(k),
+            None => 0,
+        }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::dist_hybrid_bfs;
+    use sembfs_core::{Direction, FixedPolicy};
     use sembfs_graph500::edge_list::MemEdgeList;
-    use sembfs_graph500::KroneckerParams;
+    use sembfs_graph500::{select_roots, KroneckerParams};
 
     fn sample() -> MemEdgeList {
         MemEdgeList::new(8, vec![(0, 1), (1, 5), (2, 6), (3, 7), (4, 5), (6, 7)])
@@ -267,21 +174,11 @@ mod tests {
         let g = DistGraph::build(&sample(), ClusterSpec::dram(2)).unwrap();
         assert_eq!(g.num_nodes(), 2);
         assert_eq!(g.partition().range(0), 0..4);
-        // Vertex 1's neighbors are {0, 5}; it is row 1 of node 0.
-        let (mut buf, mut scratch) = (Vec::new(), Vec::new());
-        let mut ns = g
-            .node(0)
-            .with_neighbors(1, &mut buf, &mut scratch, |ns| ns.to_vec())
-            .unwrap();
-        ns.sort_unstable();
-        assert_eq!(ns, vec![0, 5]);
-        // Vertex 6 is row 2 of node 1, neighbors {2, 7}.
-        let mut ns = g
-            .node(1)
-            .with_neighbors(2, &mut buf, &mut scratch, |ns| ns.to_vec())
-            .unwrap();
-        ns.sort_unstable();
-        assert_eq!(ns, vec![2, 7]);
+        // Node 0 holds rows 0..4 with 5 edge entries, node 1 rows 4..8
+        // with 7: 8·(4+1) index bytes plus 4 bytes per entry.
+        assert_eq!(g.node_dram_bytes(0), 40 + 20);
+        assert_eq!(g.node_dram_bytes(1), 40 + 28);
+        assert_eq!(g.node_nvm_bytes(0), 0);
     }
 
     #[test]
@@ -299,29 +196,22 @@ mod tests {
         let mut spec = ClusterSpec::flash_cluster(2);
         spec.delay_mode = DelayMode::Accounting;
         let nvm = DistGraph::build(&el, spec).unwrap();
-        assert!(nvm.node(0).device().is_some());
-        assert!(dram.node(0).device().is_none());
-        assert!(nvm.node(0).nvm_bytes() > 0);
-        // The backward copy stays in DRAM (the paper's per-node layout).
-        assert!(nvm.node(0).dram_bytes() > 0);
-
-        let (mut buf, mut scratch) = (Vec::new(), Vec::new());
+        assert!(nvm.device().is_some());
+        assert!(dram.device().is_none());
         for k in 0..2 {
-            let range = dram.partition().range(k);
-            for i in 0..(range.end - range.start) {
-                let a = dram
-                    .node(k)
-                    .with_neighbors(i, &mut buf, &mut scratch, |ns| ns.to_vec())
-                    .unwrap();
-                let b = nvm
-                    .node(k)
-                    .with_neighbors(i, &mut buf, &mut scratch, |ns| ns.to_vec())
-                    .unwrap();
-                assert_eq!(a, b, "node {k} row {i}");
-            }
+            // The forward copy is offloaded, the backward copy stays in
+            // DRAM (the paper's per-node layout).
+            assert!(nvm.node_nvm_bytes(k) > 0);
+            assert_eq!(nvm.node_dram_bytes(k), nvm.node_nvm_bytes(k));
+            assert_eq!(nvm.node_dram_bytes(k), dram.node_dram_bytes(k));
         }
-        // Reads were metered on the node devices.
-        assert!(nvm.node(0).device().unwrap().snapshot().requests > 0);
+        // A top-down search reads the device and finds the DRAM tree.
+        let root = select_roots(dram.num_vertices(), 1, 2, |v| dram.degree(v))[0];
+        let policy = FixedPolicy(Direction::TopDown);
+        let a = dist_hybrid_bfs(&dram, root, &policy).unwrap();
+        let b = dist_hybrid_bfs(&nvm, root, &policy).unwrap();
+        assert_eq!(a.parent, b.parent);
+        assert!(nvm.device().unwrap().snapshot().requests > 0);
     }
 
     #[test]

@@ -27,8 +27,8 @@ fn main() {
         println!(
             "node {k}: vertices {:?}, DRAM {:.1} MiB (backward), NVM {:.1} MiB (forward)",
             graph.partition().range(k),
-            graph.node(k).dram_bytes() as f64 / (1 << 20) as f64,
-            graph.node(k).nvm_bytes() as f64 / (1 << 20) as f64,
+            graph.node_dram_bytes(k) as f64 / (1 << 20) as f64,
+            graph.node_nvm_bytes(k) as f64 / (1 << 20) as f64,
         );
     }
 
@@ -41,10 +41,10 @@ fn main() {
     for l in &run.levels {
         println!(
             " {:>5}  {:<10} {:>9}  {:>10}  {:>10.1}  {:>7.3}",
-            l.level,
-            l.direction.to_string(),
-            l.frontier_size,
-            l.discovered,
+            l.core.level,
+            l.core.direction.to_string(),
+            l.core.frontier_size,
+            l.core.discovered,
             l.net_bytes as f64 / 1024.0,
             l.sim_time.as_secs_f64() * 1e3,
         );
@@ -58,14 +58,12 @@ fn main() {
         run.net.messages,
         run.net.collectives,
     );
-    for k in 0..nodes {
-        if let Some(dev) = graph.node(k).device() {
-            let s = dev.snapshot();
-            println!(
-                "node {k} device: {} requests, avgrq-sz {:.1} sectors",
-                s.requests,
-                s.avgrq_sz()
-            );
-        }
+    if let Some(dev) = graph.device() {
+        let s = dev.snapshot();
+        println!(
+            "node devices: {} requests, avgrq-sz {:.1} sectors",
+            s.requests,
+            s.avgrq_sz()
+        );
     }
 }

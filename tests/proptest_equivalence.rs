@@ -97,7 +97,8 @@ proptest! {
         prop_assert_eq!(dist.max_level, report.max_level);
     }
 
-    /// The distributed searcher equals the reference for any node count.
+    /// The distributed searcher's tree equals the reference's for any node
+    /// count.
     #[test]
     fn dist_always_matches_reference(
         (edges, root) in arb_graph(),
@@ -105,13 +106,15 @@ proptest! {
         alpha_exp in 0u32..6,
     ) {
         let csr = build_csr(&edges, BuildOptions::default()).unwrap();
-        let expect = compute_levels(&reference_bfs(&csr, root).parent, root).unwrap();
+        let want = reference_bfs(&csr, root).parent;
+        let expect = compute_levels(&want, root).unwrap();
 
         let graph = DistGraph::build(&edges, ClusterSpec::dram(nodes)).unwrap();
         let policy = AlphaBetaPolicy::new(10f64.powi(alpha_exp as i32), 100.0);
         let run = dist_hybrid_bfs(&graph, root, &policy).unwrap();
         let got = compute_levels(&run.parent, root).unwrap();
         prop_assert_eq!(got, expect);
+        prop_assert_eq!(&run.parent, &want);
         validate_bfs_tree(&run.parent, root, &edges).unwrap();
     }
 
