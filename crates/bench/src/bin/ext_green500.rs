@@ -7,13 +7,14 @@
 //! per TEPS once DRAM is the dominant consumer. This bin combines
 //! measured (simulated) TEPS with a documented 2013-era power model:
 //!
-//! * one DRAM-only node, fully provisioned (Table I: 128 GB class);
+//! * one DRAM-only node, fully provisioned (Table I: 128 GB class), on
+//!   one step worker like each modeled cluster node;
 //! * one DRAM+PCIeFlash node with half the DRAM (64 GB class);
 //! * a 2-node DRAM cluster of half-DRAM nodes (same total capacity),
 //!   simulated by `sembfs-dist` over InfiniBand.
 
-use sembfs_bench::{measure, BenchEnv, Table};
-use sembfs_core::{AlphaBetaPolicy, PowerModel, Scenario};
+use sembfs_bench::{measure_with, BenchEnv, Table};
+use sembfs_core::{AlphaBetaPolicy, BfsConfig, PowerModel, Scenario};
 use sembfs_dist::{dist_hybrid_bfs, ClusterSpec, DistGraph, NetworkProfile};
 use sembfs_graph500::select_roots;
 
@@ -38,12 +39,14 @@ fn main() {
         "relative",
     ]);
     let mut rows: Vec<(String, f64, f64)> = Vec::new();
+    // A single node runs one step worker, as each modeled cluster node
+    // does (one worker, its time divided by the node count).
+    let one_worker = BfsConfig::paper().with_threads(1);
 
     // 1 × DRAM-only node.
     {
         let data = env.build(&edges, Scenario::DramOnly, env.measured_options());
-        let roots = env.roots(&data);
-        let (_, median) = measure(&data, &roots, &policy);
+        let (_, median) = measure_with(&data, &env.roots(&data), &policy, &one_worker);
         rows.push((
             "1 x DRAM-only node (128 GiB class)".into(),
             median,
@@ -53,8 +56,7 @@ fn main() {
     // 1 × DRAM+PCIeFlash node.
     {
         let data = env.build(&edges, Scenario::DramPcieFlash, env.measured_options());
-        let roots = env.roots(&data);
-        let (_, median) = measure(&data, &roots, &policy);
+        let (_, median) = measure_with(&data, &env.roots(&data), &policy, &one_worker);
         rows.push((
             "1 x DRAM+PCIeFlash node (64 GiB class)".into(),
             median,

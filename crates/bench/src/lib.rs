@@ -136,9 +136,19 @@ pub fn measure(
     roots: &[VertexId],
     policy: &dyn DirectionPolicy,
 ) -> (Vec<BfsRun>, f64) {
+    measure_with(data, roots, policy, &BfsConfig::paper())
+}
+
+/// [`measure`] on the kernels `cfg` configures.
+pub fn measure_with(
+    data: &ScenarioData,
+    roots: &[VertexId],
+    policy: &dyn DirectionPolicy,
+    cfg: &BfsConfig,
+) -> (Vec<BfsRun>, f64) {
     let runs: Vec<BfsRun> = roots
         .iter()
-        .map(|&r| data.run(r, policy, &BfsConfig::paper()).expect("bfs"))
+        .map(|&r| data.run(r, policy, cfg).expect("bfs"))
         .collect();
     let mut teps: Vec<f64> = runs.iter().map(BfsRun::teps).collect();
     teps.sort_by(|a, b| a.partial_cmp(b).expect("finite TEPS"));

@@ -22,9 +22,10 @@
 //!   (`BfsConfig::threads`).
 //! * [`policy`] — direction-switching: the paper's α/β rule, fixed
 //!   directions (the Fig. 8 baselines), and a Beamer-style edge rule
-//!   (ablation, and the query engine's neighborhood searches).
+//!   (ablation, and every search of the query engine).
 //! * [`hybrid`] — the level-synchronous driver with per-level
-//!   instrumentation ([`level_stats`]).
+//!   instrumentation ([`level_stats`]), stepped once for a whole-graph
+//!   search and twice, toward each other, for a point-to-point one.
 //! * [`mod@reference`] — the serial Graph500-reference-style BFS baseline.
 //! * [`scenario`] — Table I's machine scenarios: *DRAM-only*,
 //!   *DRAM+PCIeFlash*, *DRAM+SSD*; builds the full data layout and runs
@@ -47,7 +48,8 @@ pub use bitmap::AtomicBitmap;
 pub use bottomup::{par_bottom_up_step, BottomUpSource, SearchOutcome};
 pub use energy::PowerModel;
 pub use hybrid::{
-    hybrid_bfs, hybrid_bfs_distances, hybrid_bfs_rings, BfsConfig, BfsRun, DistanceRun,
+    bidirectional, hybrid_bfs, hybrid_bfs_distances, hybrid_bfs_rings, BfsConfig, BfsRun,
+    BidirOutcome, DistanceRun,
 };
 pub use level_stats::{Direction, LevelStats};
 pub use policy::{

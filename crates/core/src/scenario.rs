@@ -28,56 +28,24 @@ use sembfs_semext::{
 };
 
 use crate::hybrid::{
-    hybrid_bfs, hybrid_bfs_distances, hybrid_bfs_rings, BfsConfig, BfsRun, DistanceRun,
+    bidirectional, hybrid_bfs, hybrid_bfs_distances, hybrid_bfs_rings, BfsConfig, BfsRun,
+    BidirOutcome, DistanceRun,
 };
 use crate::policy::DirectionPolicy;
 use crate::tree::status_data_bytes;
 use crate::{AlphaBetaPolicy, VertexId};
 
-use sembfs_csr::{lookahead, DomainNeighbors, NeighborCtx};
-
-/// Frontier positions between the vertex a query search visits and the
-/// one whose neighbor value spans it prefetches (index entries go twice
-/// as far). It counts vertices, not the top-down kernel's 64-vertex
-/// units: the source side of a bidirectional search visits its frontier
-/// one vertex at a time behind a small page cache. It was tuned on the
-/// neighborhood searches that once ran through the same visitor: on the
-/// throttled flash model with a 4 MiB cache, 8 and 16 measured alike,
-/// while 64 and more evicted prefetched pages before their visit and ran
-/// 30–60% slower.
-const FRONTIER_LOOKAHEAD: usize = 16;
-
-/// Hand every forward edge `(v, w)` of the frontier to `f`: vertex by
-/// vertex, domains `0..ℓ` in order, each list ascending. On an external
-/// source, visiting position `i` first prefetches the value spans of
-/// position `i + D` and the index entries of `i + 2D` in every domain
-/// (the [`lookahead`] schedule, `D` = [`FRONTIER_LOOKAHEAD`]), so one
-/// serial search keeps device reads in flight; stores that do not
-/// prefetch ignore the hints.
-fn visit_forward<G: DomainNeighbors>(
-    g: &G,
-    frontier: &[VertexId],
-    ctx: &mut NeighborCtx,
-    f: &mut dyn FnMut(VertexId, VertexId),
-) -> Result<()> {
-    let external = g.is_external();
-    for (i, &v) in frontier.iter().enumerate() {
-        if external {
-            let (index, values) = lookahead(i, FRONTIER_LOOKAHEAD, frontier.len());
-            for k in 0..g.num_domains() {
-                g.prefetch_index(k, &frontier[index.clone()]);
-                g.prefetch_values(k, &frontier[values.clone()], ctx);
-            }
+/// Evaluate `$body` with `$f` and `$b` bound to `$data`'s forward and
+/// backward stores at their concrete types: one arm per layout.
+macro_rules! with_stores {
+    ($data:expr, |$f:ident, $b:ident| $body:expr) => {
+        match (&$data.forward, &$data.backward) {
+            (ForwardStore::Dram($f), BackwardStore::Dram($b)) => $body,
+            (ForwardStore::Dram($f), BackwardStore::Split($b)) => $body,
+            (ForwardStore::Ext($f), BackwardStore::Dram($b)) => $body,
+            (ForwardStore::Ext($f), BackwardStore::Split($b)) => $body,
         }
-        for k in 0..g.num_domains() {
-            g.with_neighbors(k, v, ctx, |ns| {
-                for &w in ns {
-                    f(v, w);
-                }
-            })?;
-        }
-    }
-    Ok(())
+    };
 }
 
 /// The three machine configurations of Table I.
@@ -277,7 +245,7 @@ fn open_store(
 
 /// Where the forward graph lives.
 #[derive(Debug)]
-pub enum ForwardStore {
+enum ForwardStore {
     /// In DRAM (the DRAM-only scenario).
     Dram(DramForwardGraph),
     /// On the scenario's simulated NVM device, read with `pread` or
@@ -288,7 +256,7 @@ pub enum ForwardStore {
 
 /// Where the backward graph lives.
 #[derive(Debug)]
-pub enum BackwardStore {
+enum BackwardStore {
     /// Fully in DRAM (the paper's implemented layout). Its CSR is also the
     /// scenario's full CSR, so the graph is held once.
     Dram(BackwardGraph),
@@ -487,16 +455,6 @@ impl ScenarioData {
         }
     }
 
-    /// The forward graph store.
-    pub fn forward(&self) -> &ForwardStore {
-        &self.forward
-    }
-
-    /// The backward graph store.
-    pub fn backward(&self) -> &BackwardStore {
-        &self.backward
-    }
-
     /// Degree of `v` in the full graph.
     pub fn degree(&self, v: VertexId) -> u64 {
         self.csr().degree(v)
@@ -505,70 +463,6 @@ impl ScenarioData {
     /// Number of vertices in the graph.
     pub fn num_vertices(&self) -> u64 {
         self.csr().num_vertices()
-    }
-
-    /// A per-thread neighbor-read scratch wired for this scenario: the
-    /// device's merge-aware chunk reader is attached, so point reads
-    /// behave exactly like the BFS kernels' reads. Query workers hold one
-    /// each.
-    pub fn neighbor_ctx(&self) -> NeighborCtx {
-        let reader = match &self.device {
-            Some(dev) => ChunkedReader::for_device(dev),
-            None => ChunkedReader::unmerged(),
-        };
-        NeighborCtx::new(reader)
-    }
-
-    /// Hand every *forward* edge `(v, w)` of `frontier` to `f`, vertex by
-    /// vertex in frontier order, reading through the scenario's
-    /// configured store (DRAM, pread, mmap, or cached). On NVM scenarios
-    /// this meters the device like any top-down expansion, and a cached
-    /// store loads the lists of the vertices a few positions ahead
-    /// asynchronously while earlier ones are visited.
-    pub fn for_each_forward_neighbor(
-        &self,
-        frontier: &[VertexId],
-        ctx: &mut NeighborCtx,
-        f: &mut dyn FnMut(VertexId, VertexId),
-    ) -> Result<()> {
-        match &self.forward {
-            ForwardStore::Dram(g) => visit_forward(g, frontier, ctx, f),
-            ForwardStore::Ext(g) => visit_forward(g, frontier, ctx, f),
-        }
-    }
-
-    /// Hand every *backward* edge `(v, w)` of `frontier` to `f`, vertex
-    /// by vertex in frontier order. With a split backward graph the DRAM
-    /// head is served first, then the offloaded tail is streamed from the
-    /// device (uncached, so nothing is prefetched).
-    pub fn for_each_backward_neighbor(
-        &self,
-        frontier: &[VertexId],
-        ctx: &mut NeighborCtx,
-        f: &mut dyn FnMut(VertexId, VertexId),
-    ) -> Result<()> {
-        for &v in frontier {
-            match &self.backward {
-                BackwardStore::Dram(g) => {
-                    for &w in g.neighbors(v) {
-                        f(v, w);
-                    }
-                }
-                BackwardStore::Split(g) => {
-                    for &w in g.head_neighbors(v) {
-                        f(v, w);
-                    }
-                    if g.tail_degree(v)? > 0 {
-                        g.with_tail_neighbors(v, ctx, |ns| {
-                            for &w in ns {
-                                f(v, w);
-                            }
-                        })?;
-                    }
-                }
-            }
-        }
-        Ok(())
     }
 
     /// Forward-graph size in bytes (DRAM or NVM, Table II row 1).
@@ -638,14 +532,7 @@ impl ScenarioData {
         cfg: &BfsConfig,
     ) -> Result<BfsRun> {
         let cfg = self.augment_cfg(cfg);
-        match (&self.forward, &self.backward) {
-            (ForwardStore::Dram(f), BackwardStore::Dram(b)) => hybrid_bfs(f, b, root, policy, &cfg),
-            (ForwardStore::Dram(f), BackwardStore::Split(b)) => {
-                hybrid_bfs(f, b, root, policy, &cfg)
-            }
-            (ForwardStore::Ext(f), BackwardStore::Dram(b)) => hybrid_bfs(f, b, root, policy, &cfg),
-            (ForwardStore::Ext(f), BackwardStore::Split(b)) => hybrid_bfs(f, b, root, policy, &cfg),
-        }
+        with_stores!(self, |f, b| hybrid_bfs(f, b, root, policy, &cfg))
     }
 
     /// Run one *distances-only* BFS from `root` under `policy` — no
@@ -659,20 +546,7 @@ impl ScenarioData {
         cfg: &BfsConfig,
     ) -> Result<DistanceRun> {
         let cfg = self.augment_cfg(cfg);
-        match (&self.forward, &self.backward) {
-            (ForwardStore::Dram(f), BackwardStore::Dram(b)) => {
-                hybrid_bfs_distances(f, b, root, policy, &cfg)
-            }
-            (ForwardStore::Dram(f), BackwardStore::Split(b)) => {
-                hybrid_bfs_distances(f, b, root, policy, &cfg)
-            }
-            (ForwardStore::Ext(f), BackwardStore::Dram(b)) => {
-                hybrid_bfs_distances(f, b, root, policy, &cfg)
-            }
-            (ForwardStore::Ext(f), BackwardStore::Split(b)) => {
-                hybrid_bfs_distances(f, b, root, policy, &cfg)
-            }
-        }
+        with_stores!(self, |f, b| hybrid_bfs_distances(f, b, root, policy, &cfg))
     }
 
     /// Sizes of the BFS rings around `root` out to `depth` hops, by a
@@ -687,20 +561,29 @@ impl ScenarioData {
         cfg: &BfsConfig,
     ) -> Result<Vec<u64>> {
         let cfg = self.augment_cfg(cfg);
-        match (&self.forward, &self.backward) {
-            (ForwardStore::Dram(f), BackwardStore::Dram(b)) => {
-                hybrid_bfs_rings(f, b, root, depth, policy, &cfg)
-            }
-            (ForwardStore::Dram(f), BackwardStore::Split(b)) => {
-                hybrid_bfs_rings(f, b, root, depth, policy, &cfg)
-            }
-            (ForwardStore::Ext(f), BackwardStore::Dram(b)) => {
-                hybrid_bfs_rings(f, b, root, depth, policy, &cfg)
-            }
-            (ForwardStore::Ext(f), BackwardStore::Split(b)) => {
-                hybrid_bfs_rings(f, b, root, depth, policy, &cfg)
-            }
-        }
+        with_stores!(self, |f, b| hybrid_bfs_rings(
+            f, b, root, depth, policy, &cfg
+        ))
+    }
+
+    /// A shortest path (or, without `want_path`, only its length) between
+    /// `src` and `dst` by two searches stepped toward each other: the
+    /// source side through the forward store, the destination side
+    /// through the backward store (see
+    /// [`bidirectional`](crate::hybrid::bidirectional)). The config is
+    /// augmented exactly like [`run`](Self::run).
+    pub fn run_bidirectional(
+        &self,
+        src: VertexId,
+        dst: VertexId,
+        want_path: bool,
+        policy: &dyn DirectionPolicy,
+        cfg: &BfsConfig,
+    ) -> Result<BidirOutcome> {
+        let cfg = self.augment_cfg(cfg);
+        with_stores!(self, |f, b| bidirectional(
+            f, b, src, dst, want_path, policy, &cfg
+        ))
     }
 }
 

@@ -17,15 +17,18 @@
 //! DRAM, built from the CSR): the bottom-up step never probes them, so a
 //! graph's isolated vertices cost no index read, and no tail read on a
 //! split layout, at any level.
-
-use std::ops::Range;
+//!
+//! Both are also top-down sources ([`DomainNeighbors`]) with one domain
+//! holding each whole ascending row: the destination side of a
+//! bidirectional search expands through the backward graph in both
+//! directions.
 
 use sembfs_numa::RangePartition;
 use sembfs_semext::ext_csr::ExtCsr;
 use sembfs_semext::{ReadAt, Result};
 
 use crate::graph::CsrGraph;
-use crate::neighbors::NeighborCtx;
+use crate::neighbors::{DomainNeighbors, NeighborCtx};
 use crate::VertexId;
 
 /// Backward graph fully in DRAM: a full CSR, the domain partition and
@@ -62,11 +65,6 @@ impl BackwardGraph {
         &self.partition
     }
 
-    /// The vertex range owned by domain `k` (its bottom-up scan range).
-    pub fn local_vertices(&self, k: usize) -> Range<u64> {
-        self.partition.range(k)
-    }
-
     /// Full neighbor list of `v`.
     #[inline]
     pub fn neighbors(&self, v: VertexId) -> &[VertexId] {
@@ -93,6 +91,35 @@ impl BackwardGraph {
     /// DRAM footprint in bytes: the CSR and the edgeless mask.
     pub fn byte_size(&self) -> u64 {
         self.csr.byte_size() + self.edgeless.len() as u64 * 8
+    }
+}
+
+/// One domain: each vertex's whole row.
+impl DomainNeighbors for BackwardGraph {
+    fn num_domains(&self) -> usize {
+        1
+    }
+
+    fn num_vertices(&self) -> u64 {
+        self.csr.num_vertices()
+    }
+
+    fn num_values(&self) -> u64 {
+        self.csr.num_values()
+    }
+
+    fn byte_size(&self) -> u64 {
+        BackwardGraph::byte_size(self)
+    }
+
+    fn with_neighbors<R>(
+        &self,
+        _k: usize,
+        v: VertexId,
+        _ctx: &mut NeighborCtx,
+        f: impl FnOnce(&[VertexId]) -> R,
+    ) -> Result<R> {
+        Ok(f(self.csr.neighbors(v)))
     }
 }
 
@@ -178,11 +205,6 @@ impl<R: ReadAt> SplitBackwardGraph<R> {
         &self.partition
     }
 
-    /// The vertex range owned by domain `k`.
-    pub fn local_vertices(&self, k: usize) -> Range<u64> {
-        self.partition.range(k)
-    }
-
     /// The hot head neighbors of `v` (in DRAM).
     #[inline]
     pub fn head_neighbors(&self, v: VertexId) -> &[VertexId] {
@@ -230,15 +252,48 @@ impl<R: ReadAt> SplitBackwardGraph<R> {
     pub fn nvm_byte_size(&self) -> u64 {
         self.tail.byte_size()
     }
+}
 
-    /// The head CSR.
-    pub fn head(&self) -> &CsrGraph {
-        &self.head
+/// One domain: each vertex's head, then its tail read from the device
+/// after it in `ctx.buf`.
+impl<R: ReadAt> DomainNeighbors for SplitBackwardGraph<R> {
+    fn num_domains(&self) -> usize {
+        1
     }
 
-    /// The tail external CSR.
-    pub fn tail(&self) -> &ExtCsr<R> {
-        &self.tail
+    fn num_vertices(&self) -> u64 {
+        self.head.num_vertices()
+    }
+
+    fn num_values(&self) -> u64 {
+        self.head.num_values() + self.tail.num_values()
+    }
+
+    fn byte_size(&self) -> u64 {
+        self.dram_byte_size() + self.nvm_byte_size()
+    }
+
+    fn with_neighbors<T>(
+        &self,
+        _k: usize,
+        v: VertexId,
+        ctx: &mut NeighborCtx,
+        f: impl FnOnce(&[VertexId]) -> T,
+    ) -> Result<T> {
+        let head = self.head.neighbors(v);
+        let NeighborCtx {
+            reader,
+            buf,
+            scratch,
+            ..
+        } = ctx;
+        // An empty tail span issues no read.
+        self.tail.read_neighbors(v as u64, reader, buf, scratch)?;
+        if buf.is_empty() {
+            return Ok(f(head));
+        }
+        buf.splice(0..0, head.iter().copied());
+        Ok(f(buf))
     }
 }
 
@@ -272,8 +327,8 @@ mod tests {
     fn backward_graph_ranges() {
         let csr = star_plus_path();
         let bg = BackwardGraph::new(csr.clone(), RangePartition::new(10, 2));
-        assert_eq!(bg.local_vertices(0), 0..5);
-        assert_eq!(bg.local_vertices(1), 5..10);
+        assert_eq!(bg.partition().range(0), 0..5);
+        assert_eq!(bg.partition().range(1), 5..10);
         assert_eq!(bg.neighbors(0), csr.neighbors(0));
         // The CSR plus one mask word per 64 vertices.
         assert_eq!(bg.byte_size(), csr.byte_size() + 8);
@@ -347,6 +402,40 @@ mod tests {
         // Path vertices have no tail at limit 2.
         assert_eq!(sbg.tail_degree(8).unwrap(), 0);
         assert!(sbg.dram_byte_size() < csr.byte_size());
+    }
+
+    /// As top-down sources both graphs serve each whole ascending row
+    /// from one domain; the split graph appends the tail to the head.
+    #[test]
+    fn backward_graphs_are_one_domain_row_sources() {
+        let csr = star_plus_path();
+        let (head, tail_index, tail_values) = split_csr(&csr, 2);
+        let dir = TempDir::new("split-rows").unwrap();
+        let ip = dir.path().join("bg-tail.index");
+        let vp = dir.path().join("bg-tail.values");
+        write_csr_files(&ip, &vp, &tail_index, &tail_values).unwrap();
+        let tail = ExtCsr::new(
+            FileBackend::open(&ip).unwrap(),
+            FileBackend::open(&vp).unwrap(),
+        )
+        .unwrap();
+        let part = RangePartition::new(10, 2);
+        let split = SplitBackwardGraph::new(head, tail, part.clone(), 2, csr.edgeless_mask());
+        let full = BackwardGraph::new(csr.clone(), part);
+        assert_eq!(DomainNeighbors::num_domains(&full), 1);
+        assert_eq!(DomainNeighbors::num_domains(&split), 1);
+        assert_eq!(DomainNeighbors::num_values(&split), csr.num_values());
+        let mut ctx = NeighborCtx::dram();
+        for v in 0..10u32 {
+            let a = full
+                .with_neighbors(0, v, &mut ctx, |ns| ns.to_vec())
+                .unwrap();
+            let b = split
+                .with_neighbors(0, v, &mut ctx, |ns| ns.to_vec())
+                .unwrap();
+            assert_eq!(a, csr.neighbors(v), "vertex {v}");
+            assert_eq!(b, csr.neighbors(v), "vertex {v}");
+        }
     }
 
     mod properties {

@@ -28,7 +28,7 @@ pub use builder::{build_csr, BuildOptions};
 pub use degree::DegreeStats;
 pub use forward::{write_forward_files, DramForwardGraph, ExtForwardGraph};
 pub use graph::CsrGraph;
-pub use neighbors::{lookahead, DomainNeighbors, NeighborCtx};
+pub use neighbors::{DomainNeighbors, NeighborCtx};
 pub use relabel::Relabeling;
 
 pub use sembfs_graph500::VertexId;

@@ -8,8 +8,6 @@
 //! reader, decode buffers) the semi-external path needs, so the hot loop
 //! allocates nothing.
 
-use std::ops::Range;
-
 use sembfs_semext::{ChunkedReader, NeighborBatch, Result, WindowScratch};
 
 use crate::VertexId;
@@ -137,50 +135,9 @@ pub trait DomainNeighbors: Send + Sync {
     }
 }
 
-/// The two-stage prefetch schedule of a reader that visits positions
-/// `0..len` in order and looks `d` positions ahead: visiting `i`, it
-/// prefetches index entries for the positions in the first range and
-/// neighbor value spans for those in the second.
-///
-/// Index entries run `2d` ahead and value spans `d` ahead, because a
-/// value span's bounds come from its index entries. The visit of `i = 0`
-/// also covers every position before those, so short sequences are
-/// prefetched too; later visits cover one position per stage, and none
-/// past `len`.
-pub fn lookahead(i: usize, d: usize, len: usize) -> (Range<usize>, Range<usize>) {
-    let stage = |ahead: usize| {
-        let end = (i + ahead + 1).min(len);
-        let start = if i == 0 { 0 } else { (i + ahead).min(end) };
-        start..end
-    };
-    (stage(2 * d), stage(d))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn lookahead_covers_every_position_once_per_stage() {
-        for len in [0, 1, 5, 9, 40] {
-            for d in [1, 4, 16] {
-                let mut index = vec![0; len];
-                let mut values = vec![0; len];
-                for i in 0..len {
-                    let (ix, vals) = lookahead(i, d, len);
-                    // Never a position that was already visited.
-                    assert!(ix.start >= i && vals.start >= i);
-                    ix.for_each(|a| index[a] += 1);
-                    vals.for_each(|a| values[a] += 1);
-                }
-                assert!(index.iter().all(|&c| c == 1), "index d={d} len={len}");
-                assert!(values.iter().all(|&c| c == 1), "values d={d} len={len}");
-            }
-        }
-        assert_eq!(lookahead(0, 4, 100), (0..9, 0..5));
-        assert_eq!(lookahead(3, 4, 100), (11..12, 7..8));
-        assert_eq!(lookahead(3, 4, 10), (10..10, 7..8));
-    }
 
     #[test]
     fn ctx_default_is_dram() {

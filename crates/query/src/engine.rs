@@ -160,8 +160,7 @@ struct QueueState {
 
 struct Shared {
     data: Arc<ScenarioData>,
-    /// The kernel config of every `Distance` and `Neighborhood` search
-    /// ([`search_config`]).
+    /// The kernel config of every search ([`search_config`]).
     cfg: BfsConfig,
     queue: Mutex<QueueState>,
     work_ready: Condvar,
@@ -186,29 +185,21 @@ impl Shared {
         let io = |e: sembfs_semext::Error| QueryError::Io(e.to_string());
         match query {
             Query::ShortestPath { src, dst } => {
-                let out = bidirectional_search(&self.data, src, dst, true).map_err(io)?;
+                let out =
+                    bidirectional_search(&self.data, src, dst, true, &self.cfg).map_err(io)?;
                 Ok(match (out.distance, out.path) {
                     (Some(distance), Some(vertices)) => QueryResult::Path { distance, vertices },
                     _ => QueryResult::NoPath,
                 })
             }
             Query::Distance { src, dst } => {
-                // Whole-graph distances-only sweep (no parent tree): the
-                // full level structure from `src` lands in the page cache
-                // pattern the scenario is tuned for, and `dst` is a plain
-                // array lookup.
-                let policy = self.data.scenario().best_policy();
-                let run = self
-                    .data
-                    .run_distances(src, &policy, &self.cfg)
-                    .map_err(io)?;
-                let level = run.levels[dst as usize];
-                Ok(QueryResult::Distance(
-                    (level != sembfs_graph500::validate::INVALID_LEVEL).then_some(level),
-                ))
+                let out =
+                    bidirectional_search(&self.data, src, dst, false, &self.cfg).map_err(io)?;
+                Ok(QueryResult::Distance(out.distance))
             }
             Query::Reachable { src, dst } => {
-                let out = bidirectional_search(&self.data, src, dst, false).map_err(io)?;
+                let out =
+                    bidirectional_search(&self.data, src, dst, false, &self.cfg).map_err(io)?;
                 Ok(QueryResult::Reachable(out.distance.is_some()))
             }
             Query::Neighborhood { v, depth } => {

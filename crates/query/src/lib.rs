@@ -6,19 +6,13 @@
 //! *engine* (FlashGraph-style) answering many small point queries
 //! concurrently:
 //!
-//! * [`Query::ShortestPath`] — bidirectional BFS, meeting in the middle
-//!   over the forward (possibly NVM-resident) and backward (DRAM) CSRs,
-//!   with path reconstruction ([`bidir`]).
-//! * [`Query::Distance`] — a whole-graph *distances-only* hybrid BFS
-//!   ([`sembfs_core::hybrid_bfs_distances`]), the right tool when one
-//!   source's full level structure is wanted anyway.
-//! * [`Query::Reachable`] — the bidirectional search without path
-//!   recording.
-//! * [`Query::Neighborhood`] — bounded-depth ring counts around a vertex:
-//!   the hybrid level loop cut off at the depth
-//!   ([`sembfs_core::hybrid_bfs_rings`]), top-down through the forward
-//!   store while a ring's lists are few, bottom-up from the DRAM backward
-//!   graph once they are many ([`bidir`]).
+//! * [`Query::ShortestPath`] — bidirectional BFS: two searches of the
+//!   core level loop stepped toward each other, the source side over the
+//!   forward (possibly NVM-resident) store and the destination side over
+//!   the DRAM backward graph; one path, the same on every layout ([`bidir`]).
+//! * [`Query::Distance`], [`Query::Reachable`] — the same search, no path.
+//! * [`Query::Neighborhood`] — ring counts around a vertex: the level loop
+//!   cut off at the depth ([`sembfs_core::hybrid_bfs_rings`]).
 //!
 //! [`QueryEngine`] owns a worker pool over a *bounded* submission queue
 //! (admission control: full ⇒ typed [`QueryError::Overloaded`], never
@@ -27,10 +21,10 @@
 //! log-bucket latency histogram, QPS, global page-cache hit-rate delta,
 //! NVM bytes per query — surfaced as a [`QueryStats`] report
 //! ([`metrics`]). Workers share the scenario's sharded page cache and
-//! simulated device; all I/O goes through the same `DomainNeighbors`
-//! machinery as the BFS kernels. Every kernel search of the engine runs
-//! on one step worker ([`search_config`]): the engine's parallelism is
-//! across queries.
+//! simulated device; the engine has no read path of its own, every list
+//! is read by the BFS kernels. Every search of the engine runs on one
+//! step worker ([`search_config`]): the engine's parallelism is across
+//! queries.
 
 pub mod bidir;
 pub mod engine;
@@ -38,10 +32,11 @@ pub mod metrics;
 pub mod result_cache;
 pub mod workload;
 
-pub use bidir::{bidirectional_search, neighborhood, search_config, BidirOutcome};
+pub use bidir::{bidirectional_search, neighborhood, search_config};
 pub use engine::{EngineConfig, QueryEngine, QueryError, Response};
 pub use metrics::{LatencyHistogram, QueryStats};
 pub use result_cache::ResultCache;
+pub use sembfs_core::BidirOutcome;
 pub use workload::{QueryMix, ZipfSampler};
 
 use sembfs_graph500::VertexId;
@@ -57,8 +52,7 @@ pub enum Query {
         /// Destination vertex.
         dst: VertexId,
     },
-    /// Hop distance from `src` to `dst` via a whole-graph distances-only
-    /// sweep from `src`.
+    /// Hop distance from `src` to `dst` (bidirectional, no path).
     Distance {
         /// Source vertex.
         src: VertexId,

@@ -67,7 +67,7 @@ impl ZipfSampler {
 pub struct QueryMix {
     /// Weight of [`Query::ShortestPath`].
     pub path: f64,
-    /// Weight of [`Query::Distance`] (a whole-graph sweep — keep small).
+    /// Weight of [`Query::Distance`].
     pub distance: f64,
     /// Weight of [`Query::Reachable`].
     pub reachable: f64,
@@ -90,8 +90,9 @@ impl Default for QueryMix {
 }
 
 impl QueryMix {
-    /// A mix without the whole-graph `Distance` sweeps (pure point
-    /// queries — the throughput-bench default).
+    /// A mix without `Distance` queries (the throughput-bench default,
+    /// kept from when a distance was a whole-graph sweep so the measured
+    /// stream stays comparable).
     pub fn point_queries() -> Self {
         Self {
             path: 0.50,

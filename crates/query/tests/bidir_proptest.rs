@@ -1,8 +1,8 @@
 //! Property tests: bidirectional point-to-point search and neighborhood
 //! rings must agree with the serial reference BFS on arbitrary graphs,
 //! endpoints, and data layouts — reconstructed paths must be real edge
-//! sequences of exactly the claimed length, and every layout without a
-//! split backward graph must answer exactly like the DRAM-only one.
+//! sequences of exactly the claimed length, and every layout must answer
+//! exactly like the DRAM-only one.
 
 use proptest::prelude::*;
 use sembfs_core::{reference_bfs, Scenario, ScenarioData, ScenarioOptions};
@@ -83,7 +83,7 @@ proptest! {
                 let levels = compute_levels(&run.parent, src).unwrap();
                 (levels[dst as usize] != INVALID_LEVEL).then_some(levels[dst as usize])
             };
-            let got = bidirectional_search(&data, src, dst, true).unwrap();
+            let got = bidirectional_search(&data, src, dst, true, &search_config()).unwrap();
             prop_assert_eq!(got.distance, want, "{}: {} → {}", &label, src, dst);
 
             match got.distance {
@@ -121,11 +121,11 @@ proptest! {
         }
     }
 
-    /// Every layout without a split backward graph returns exactly the
-    /// DRAM-only answers: distance, path and scanned edges of a
+    /// Every layout, the split backward graph included, returns exactly
+    /// the DRAM-only answers: distance, path and scanned edges of a
     /// bidirectional search, and neighborhood rings.
     #[test]
-    fn unsplit_layouts_answer_like_dram_only(
+    fn every_layout_answers_like_dram_only(
         edges in proptest::collection::vec((0u32..N, 0u32..N), 0..80),
         src in 0u32..N,
         dst in 0u32..N,
@@ -134,10 +134,10 @@ proptest! {
         let el = MemEdgeList::new(N as u64, edges);
         let mut all = layouts(&el).into_iter();
         let (_, dram) = all.next().unwrap();
-        let want_bidir = bidirectional_search(&dram, src, dst, true).unwrap();
+        let want_bidir = bidirectional_search(&dram, src, dst, true, &search_config()).unwrap();
         let want_rings = neighborhood(&dram, src, depth, &search_config()).unwrap();
-        for (label, data) in all.filter(|(_, d)| d.options().backward_offload_k.is_none()) {
-            let got = bidirectional_search(&data, src, dst, true).unwrap();
+        for (label, data) in all {
+            let got = bidirectional_search(&data, src, dst, true, &search_config()).unwrap();
             prop_assert_eq!(&got, &want_bidir, "{}: {} → {}", &label, src, dst);
             let rings = neighborhood(&data, src, depth, &search_config()).unwrap();
             prop_assert_eq!(&rings, &want_rings, "{}: rings around {}", &label, src);
@@ -153,14 +153,14 @@ proptest! {
     ) {
         let el = MemEdgeList::new(N as u64, edges);
         let data = ScenarioData::build(&el, Scenario::DramPcieFlash, options()).unwrap();
-        let with_path = bidirectional_search(&data, src, dst, true).unwrap();
-        let without = bidirectional_search(&data, src, dst, false).unwrap();
+        let with_path = bidirectional_search(&data, src, dst, true, &search_config()).unwrap();
+        let without = bidirectional_search(&data, src, dst, false, &search_config()).unwrap();
         prop_assert_eq!(without.distance, with_path.distance);
         prop_assert!(without.path.is_none());
     }
 
-    /// The engine's whole-graph Distance path agrees with the reference
-    /// BFS too (it runs `hybrid_bfs_distances` under the hood).
+    /// The whole-graph distances-only search (`hybrid_bfs_distances`,
+    /// the analytics' sweep) agrees with the reference BFS too.
     #[test]
     fn run_distances_matches_reference(
         edges in proptest::collection::vec((0u32..N, 0u32..N), 0..60),
@@ -184,17 +184,17 @@ proptest! {
 fn path_graph_end_to_end() {
     let el = MemEdgeList::new(6, vec![(0, 1), (1, 2), (2, 3), (3, 4), (4, 5)]);
     let data = ScenarioData::build(&el, Scenario::DramOnly, options()).unwrap();
-    let out = bidirectional_search(&data, 0, 5, true).unwrap();
+    let out = bidirectional_search(&data, 0, 5, true, &search_config()).unwrap();
     assert_eq!(out.distance, Some(5));
     assert_eq!(out.path.unwrap(), vec![0, 1, 2, 3, 4, 5]);
     // Disconnected pair.
     let el2 = MemEdgeList::new(4, vec![(0, 1), (2, 3)]);
     let data2 = ScenarioData::build(&el2, Scenario::DramOnly, options()).unwrap();
-    let out2 = bidirectional_search(&data2, 0, 3, true).unwrap();
+    let out2 = bidirectional_search(&data2, 0, 3, true, &search_config()).unwrap();
     assert_eq!(out2.distance, None);
     assert!(out2.path.is_none());
     // Trivial self-query.
-    let out3 = bidirectional_search(&data2, 2, 2, true).unwrap();
+    let out3 = bidirectional_search(&data2, 2, 2, true, &search_config()).unwrap();
     assert_eq!(out3.distance, Some(0));
     assert_eq!(out3.path.unwrap(), vec![2 as VertexId]);
 }
@@ -214,4 +214,52 @@ fn cached_layout_evicts_mid_query() {
         reference_rings(&data, 1, 2)
     );
     assert!(cache.snapshot().delta(&before).evictions > 0);
+}
+
+/// A path is a function of the graph and its endpoints: on a SCALE-12
+/// Kronecker graph, every layout at 1, 2 and 4 kernel workers returns the
+/// same path, of the reference length, between a hub, a least-degree
+/// vertex, the vertex farthest from it and an isolated one.
+#[test]
+fn paths_are_canonical_across_workers() {
+    let el = sembfs_graph500::KroneckerParams::graph500(12, 3).generate();
+    let all = layouts(&el);
+    let csr = all[0].1.csr();
+    let n = csr.num_vertices() as VertexId;
+    let hub = (0..n).max_by_key(|&v| csr.degree(v)).unwrap();
+    let least = (0..n)
+        .filter(|&v| csr.degree(v) > 0)
+        .min_by_key(|&v| csr.degree(v))
+        .unwrap();
+    let isolated = (0..n).find(|&v| csr.degree(v) == 0).unwrap();
+    let from_least = compute_levels(&reference_bfs(csr, least).parent, least).unwrap();
+    let far = (0..n)
+        .filter(|&v| from_least[v as usize] != INVALID_LEVEL)
+        .max_by_key(|&v| from_least[v as usize])
+        .unwrap();
+    assert!(from_least[hub as usize] != INVALID_LEVEL && from_least[far as usize] > 2);
+    for (src, dst) in [
+        (hub, least),
+        (least, hub),
+        (least, far),
+        (far, hub),
+        (least, isolated),
+        (isolated, hub),
+    ] {
+        let levels = compute_levels(&reference_bfs(csr, src).parent, src).unwrap();
+        let want = (levels[dst as usize] != INVALID_LEVEL).then_some(levels[dst as usize]);
+        let mut paths = Vec::new();
+        for (label, data) in &all {
+            for threads in [1, 2, 4] {
+                let cfg = search_config().with_threads(threads);
+                let got = bidirectional_search(data, src, dst, true, &cfg).unwrap();
+                assert_eq!(got.distance, want, "{label}, {threads} workers");
+                paths.push(got.path);
+            }
+        }
+        assert!(
+            paths.iter().all(|p| p == &paths[0]),
+            "{src} → {dst}: {paths:?}"
+        );
+    }
 }

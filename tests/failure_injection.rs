@@ -180,12 +180,10 @@ fn torn_page_behind_the_store_is_a_checksum_error_never_a_wrong_tree() {
 
     // A full adjacency scan must trip the per-page checksum — the torn
     // bytes are caught at fill, not served.
-    let mut ctx = data.neighbor_ctx();
     let mut scan = Ok(());
     for v in 0..data.num_vertices() as u32 {
-        let r = data.for_each_forward_neighbor(&[v], &mut ctx, &mut |_, _| {});
-        if r.is_err() {
-            scan = r;
+        if let Err(e) = data.run_rings(v, 1, &policy, &BfsConfig::paper()) {
+            scan = Err(e);
             break;
         }
     }
