@@ -164,10 +164,11 @@ fn main() {
     table.print();
     println!();
     println!(
-        "note: per-query searches are serial but prefetch their forward lists \
-         ahead, so avgqu-sz can exceed 1 even at 1 worker; neighborhoods find \
-         wide rings bottom-up in DRAM; more workers overlap further device \
-         waits; budgets below 1.0x force that device traffic."
+        "note: every query runs the core level loop; its top-down levels read \
+         forward lists in page windows with the kernel's unit prefetch, so \
+         avgqu-sz can exceed 1 even at 1 worker; wide frontiers go bottom-up \
+         in DRAM; more workers overlap further device waits; budgets below \
+         1.0x force that device traffic."
     );
     if let Some((config, text)) = prom_snapshot {
         println!();
