@@ -3,13 +3,81 @@
 //! top-down-only, bottom-up-only, and Graph500-reference baselines.
 //!
 //! Paper: DRAM-only 5.12 GTEPS; DRAM+PCIeFlash 4.22 GTEPS (−19.18 %);
-//! DRAM+SSD 2.76 GTEPS (−47.1 %); top-down-only 0.6; bottom-up-only 0.4;
+//! DRAM+SSD 2.76 GTEPS (−47.1 %); top-down only 0.6; bottom-up only 0.4;
 //! reference v2.1.4 0.04 — all on the DRAM-only box for the baselines.
+//!
+//! Every layout is built first; then [`ROUNDS`] rounds each measure every
+//! row once, in an order rotated by one row per round, so a row is not
+//! always the first search after a build or after the same neighbour. A
+//! row prints the median of its round medians and their spread: on a
+//! shared host one capture per row moved by more than the gaps the figure
+//! is about.
 
 use std::time::Instant;
 
 use sembfs_bench::{measure, mteps, spare_dram_for, trace_begin, trace_finish, BenchEnv, Table};
-use sembfs_core::{reference_bfs, Direction, FixedPolicy, Scenario};
+use sembfs_core::{
+    reference_bfs, Direction, DirectionPolicy, FixedPolicy, Scenario, ScenarioData, VertexId,
+    INVALID_PARENT,
+};
+
+/// Measurement rounds per row.
+const ROUNDS: usize = 5;
+
+/// What a row searches with.
+enum Searcher {
+    /// The hybrid search of `data` under `policy`.
+    Hybrid(Box<dyn DirectionPolicy>),
+    /// The serial Graph500 reference on `data`'s CSR.
+    Reference,
+}
+
+struct Row {
+    label: String,
+    alpha: String,
+    beta: String,
+    /// Index into the built layouts.
+    data: usize,
+    searcher: Searcher,
+    /// Median TEPS of each round.
+    rounds: Vec<f64>,
+}
+
+impl Row {
+    /// Median TEPS over `roots`.
+    fn measure(&self, data: &ScenarioData, roots: &[VertexId]) -> f64 {
+        match &self.searcher {
+            Searcher::Hybrid(policy) => measure(data, roots, policy.as_ref()).1,
+            Searcher::Reference => {
+                let csr = data.csr();
+                let mut teps: Vec<f64> = roots
+                    .iter()
+                    .map(|&root| {
+                        let t0 = Instant::now();
+                        let run = reference_bfs(csr, root);
+                        let dt = t0.elapsed().as_secs_f64();
+                        // Same edge accounting as the hybrid searchers.
+                        let edges = run
+                            .parent
+                            .iter()
+                            .enumerate()
+                            .filter(|(_, &p)| p != INVALID_PARENT)
+                            .map(|(v, _)| csr.degree(v as VertexId))
+                            .sum::<u64>()
+                            / 2;
+                        edges as f64 / dt
+                    })
+                    .collect();
+                median(&mut teps)
+            }
+        }
+    }
+}
+
+fn median(xs: &mut [f64]) -> f64 {
+    xs.sort_by(|a, b| a.partial_cmp(b).expect("finite TEPS"));
+    xs[xs.len() / 2]
+}
 
 fn main() {
     let env = BenchEnv::from_env();
@@ -20,15 +88,6 @@ fn main() {
     );
     let edges = env.generate();
 
-    let mut table = Table::new(&[
-        "configuration",
-        "alpha",
-        "beta",
-        "median MTEPS",
-        "vs DRAM-only %",
-    ]);
-    let mut rows: Vec<(String, String, String, f64)> = Vec::new();
-
     // Hybrid per scenario at the α/β the paper found best for it (§VI-B):
     // one fixed setting each, so the gaps are not a maximum over noisy
     // medians. No page-cache model here: at the paper's main SCALE the
@@ -36,68 +95,91 @@ fn main() {
     // measured iostat queues (Figs. 12/13) show the reads really reached
     // the device. Fig. 9 is the cached regime.
     let _ = spare_dram_for(&env, env.scale);
-    for sc in Scenario::ALL {
-        let data = env.build(&edges, sc, env.measured_options());
-        trace_begin(&data);
-        let roots = env.roots(&data);
-        let policy = sc.best_policy();
-        let (_, median) = measure(&data, &roots, &policy);
-        rows.push((
-            sc.label().to_string(),
-            format!("{:.0e}", policy.alpha),
-            format!("{:.0e}", policy.beta),
-            median,
-        ));
-    }
-    let dram = rows[0].3; // `Scenario::ALL` starts with DRAM-only.
-
-    // Baselines on the DRAM-only configuration (as in the paper).
-    let data = env.build(&edges, Scenario::DramOnly, env.measured_options());
-    let roots = env.roots(&data);
+    let layouts: Vec<ScenarioData> = Scenario::ALL
+        .iter()
+        .map(|&sc| {
+            let data = env.build(&edges, sc, env.measured_options());
+            trace_begin(&data);
+            data
+        })
+        .collect();
+    let mut rows: Vec<Row> = Scenario::ALL
+        .iter()
+        .enumerate()
+        .map(|(i, sc)| {
+            let policy = sc.best_policy();
+            Row {
+                label: sc.label().to_string(),
+                alpha: format!("{:.0e}", policy.alpha),
+                beta: format!("{:.0e}", policy.beta),
+                data: i,
+                searcher: Searcher::Hybrid(Box::new(policy)),
+                rounds: Vec::new(),
+            }
+        })
+        .collect();
+    // Baselines on the DRAM-only layout (as in the paper); `Scenario::ALL`
+    // starts with it.
+    let baseline = |label: &str, searcher| Row {
+        label: label.to_string(),
+        alpha: "-".into(),
+        beta: "-".into(),
+        data: 0,
+        searcher,
+        rounds: Vec::new(),
+    };
     for (label, dir) in [
         ("top-down only", Direction::TopDown),
         ("bottom-up only", Direction::BottomUp),
     ] {
-        let (_, median) = measure(&data, &roots, &FixedPolicy(dir));
-        rows.push((label.to_string(), "-".into(), "-".into(), median));
-    }
-    // Graph500 reference (serial top-down).
-    {
-        let mut teps = Vec::new();
-        for &root in &roots {
-            let t0 = Instant::now();
-            let run = reference_bfs(data.csr(), root);
-            let dt = t0.elapsed().as_secs_f64();
-            // Same edge accounting as the hybrid searchers.
-            let edges_in_component = run
-                .parent
-                .iter()
-                .enumerate()
-                .filter(|(_, &p)| p != sembfs_core::INVALID_PARENT)
-                .map(|(v, _)| data.csr().degree(v as u32))
-                .sum::<u64>()
-                / 2;
-            teps.push(edges_in_component as f64 / dt);
-        }
-        teps.sort_by(|a, b| a.partial_cmp(b).unwrap());
-        rows.push((
-            "Graph500 reference".into(),
-            "-".into(),
-            "-".into(),
-            teps[teps.len() / 2],
+        rows.push(baseline(
+            label,
+            Searcher::Hybrid(Box::new(FixedPolicy(dir))),
         ));
     }
+    rows.push(baseline("Graph500 reference", Searcher::Reference));
 
-    for (label, a, b, median) in rows {
+    // One graph, so one root set for every layout.
+    let roots = env.roots(&layouts[0]);
+    for round in 0..ROUNDS {
+        let count = rows.len();
+        for i in 0..count {
+            let row = &mut rows[(i + round) % count];
+            let teps = row.measure(&layouts[row.data], &roots);
+            row.rounds.push(teps);
+        }
+    }
+
+    let mut table = Table::new(&[
+        "configuration",
+        "alpha",
+        "beta",
+        "median MTEPS",
+        "round min–max",
+        "vs DRAM-only %",
+    ]);
+    // Sorts each row's rounds: the first and the last are its range.
+    let medians: Vec<f64> = rows.iter_mut().map(|r| median(&mut r.rounds)).collect();
+    let dram = medians[0];
+    for (row, median) in rows.iter().zip(medians) {
         table.row(&[
-            label,
-            a,
-            b,
+            row.label.clone(),
+            row.alpha.clone(),
+            row.beta.clone(),
             mteps(median),
+            format!(
+                "{}–{}",
+                mteps(row.rounds[0]),
+                mteps(row.rounds[row.rounds.len() - 1])
+            ),
             format!("{:+.1}", (median / dram - 1.0) * 100.0),
         ]);
     }
     table.print();
-    println!("\npaper shape check: DRAM-only > +PCIeFlash > +SSD ≫ TD-only > BU-only ≫ reference");
+    println!(
+        "\n{ROUNDS} rounds of {} roots per row; the median and the range of the round medians",
+        roots.len()
+    );
+    println!("paper shape check: DRAM-only > +PCIeFlash > +SSD ≫ TD-only > BU-only ≫ reference");
     trace_finish();
 }

@@ -17,6 +17,15 @@
 //! probed, though it stays unvisited. Discoveries of a word are published
 //! with one `fetch_or` into `visited` and one into `next`.
 //!
+//! Each probe of a DRAM list starts a new row of the value array, a cache
+//! miss that the hardware prefetcher does not see coming: the rows of
+//! the vertices left to probe lie far apart. So before a unit probes the
+//! vertices of one word, it hints those of the word
+//! `PROBE_LOOKAHEAD` ahead ([`BottomUpSource::prefetch_probe`]), and
+//! their first value lines load while the current word's probes run.
+//! The hint names exactly the vertices the unit will probe, and changes
+//! no probe's result.
+//!
 //! [`BottomUpSource`] abstracts where the neighbor list lives:
 //!
 //! * [`BackwardGraph`] — fully in DRAM (the paper's implemented layout);
@@ -71,6 +80,11 @@ pub trait BottomUpSource: Send + Sync {
 
     /// Full degree of `w` (used for TEPS edge accounting).
     fn full_degree(&self, w: VertexId, ctx: &mut NeighborCtx) -> Result<u64>;
+
+    /// A hint that `w` will be probed soon: a DRAM source starts loading
+    /// the first line of `w`'s list. Changes nothing a probe returns.
+    #[inline(always)]
+    fn prefetch_probe(&self, _w: VertexId) {}
 }
 
 impl BottomUpSource for BackwardGraph {
@@ -103,6 +117,11 @@ impl BottomUpSource for BackwardGraph {
 
     fn full_degree(&self, w: VertexId, _ctx: &mut NeighborCtx) -> Result<u64> {
         Ok(self.degree(w))
+    }
+
+    #[inline(always)]
+    fn prefetch_probe(&self, w: VertexId) {
+        self.csr().prefetch_row(w)
     }
 }
 
@@ -157,6 +176,12 @@ impl<R: ReadAt> BottomUpSource for SplitBackwardGraph<R> {
     fn full_degree(&self, w: VertexId, _ctx: &mut NeighborCtx) -> Result<u64> {
         Ok(self.head_neighbors(w).len() as u64 + self.tail_degree(w)?)
     }
+
+    // The head only: a tail read is a device request, not a cache line.
+    #[inline(always)]
+    fn prefetch_probe(&self, w: VertexId) {
+        self.prefetch_head_row(w)
+    }
 }
 
 /// Output of one bottom-up step.
@@ -178,8 +203,14 @@ impl BottomUpOutput {
     }
 }
 
+/// Visited-bitmap words between a to-probe vertex's prefetch hint and
+/// its probe (see the module docs). Chosen by a sweep of 0, 1, 2 and 4 on
+/// the SCALE-20 DRAM layout (EXPERIMENTS.md).
+const PROBE_LOOKAHEAD: usize = 1;
+
 /// Probe every unvisited vertex of `range` that has an edge, a
-/// visited-bitmap word at a time; see the module docs.
+/// visited-bitmap word at a time, hinting the probes of the word
+/// [`PROBE_LOOKAHEAD`] ahead; see the module docs.
 #[allow(clippy::too_many_arguments)]
 fn scan_unit<B: BottomUpSource>(
     b: &B,
@@ -191,14 +222,32 @@ fn scan_unit<B: BottomUpSource>(
     ctx: &mut NeighborCtx,
     out: &mut BottomUpOutput,
 ) -> Result<()> {
-    let words = (range.start / 64) as usize..=((range.end - 1) / 64) as usize;
-    for (wi, &edgeless) in words.clone().zip(&b.edgeless_words()[words]) {
+    let edgeless = b.edgeless_words();
+    // The vertices of word `wi` that this unit probes: in its range, not
+    // visited, and with an edge. Only this unit sets visited bits inside
+    // its range, so the set is the same at hint time and at probe time.
+    let to_probe = |wi: usize| {
         let base = wi as u64 * 64;
-        // The bits of this word inside the unit's range.
         let lo = range.start.max(base) - base;
         let hi = range.end.min(base + 64) - base;
         let in_range = (u64::MAX >> (64 - (hi - lo))) << lo;
-        let mut todo = !(visited.word(wi) | edgeless) & in_range;
+        !(visited.word(wi) | edgeless[wi]) & in_range
+    };
+    let first = (range.start / 64) as usize;
+    let last = ((range.end - 1) / 64) as usize;
+    for ahead in first..=last + PROBE_LOOKAHEAD {
+        if ahead <= last {
+            let mut hints = to_probe(ahead);
+            while hints != 0 {
+                b.prefetch_probe((ahead * 64) as VertexId + hints.trailing_zeros());
+                hints &= hints - 1;
+            }
+        }
+        let Some(wi) = ahead.checked_sub(PROBE_LOOKAHEAD).filter(|&wi| wi >= first) else {
+            continue;
+        };
+        let base = wi as u64 * 64;
+        let mut todo = to_probe(wi);
         let mut found = 0u64;
         while todo != 0 {
             let bit = todo.trailing_zeros();
@@ -488,10 +537,33 @@ mod tests {
         )
     }
 
-    /// A [`BackwardGraph`] that counts the probes of every vertex.
+    /// A [`BackwardGraph`] that counts the probes and the prefetch hints
+    /// of every vertex.
     struct Probed {
         inner: BackwardGraph,
         probes: Vec<AtomicU32>,
+        hints: Vec<AtomicU32>,
+    }
+
+    impl Probed {
+        fn new(inner: BackwardGraph) -> Self {
+            let counters = || {
+                (0..inner.num_vertices())
+                    .map(|_| AtomicU32::new(0))
+                    .collect()
+            };
+            Self {
+                probes: counters(),
+                hints: counters(),
+                inner,
+            }
+        }
+
+        /// Probe and hint counts, then reset to zero.
+        fn take(&self) -> (Vec<u32>, Vec<u32>) {
+            let take = |c: &[AtomicU32]| c.iter().map(|x| x.swap(0, Ordering::Relaxed)).collect();
+            (take(&self.probes), take(&self.hints))
+        }
     }
 
     impl BottomUpSource for Probed {
@@ -516,6 +588,12 @@ mod tests {
         fn full_degree(&self, w: VertexId, ctx: &mut NeighborCtx) -> Result<u64> {
             self.inner.full_degree(w, ctx)
         }
+
+        fn prefetch_probe(&self, w: VertexId) {
+            // Out of range panics here, in the worker, and fails the step.
+            self.hints[w as usize].fetch_add(1, Ordering::Relaxed);
+            self.inner.prefetch_probe(w)
+        }
     }
 
     /// n = 1000 vertices of which only the 100 multiples of 10 have edges
@@ -538,12 +616,13 @@ mod tests {
         let (graph, root) = mostly_edgeless();
         let want = reference_bfs(&graph, root).parent;
         for threads in [1, 2, 4] {
-            let b = Probed {
-                inner: BackwardGraph::new(graph.clone(), RangePartition::new(1000, 3)),
-                probes: (0..1000).map(|_| AtomicU32::new(0)).collect(),
-            };
+            let b = Probed::new(BackwardGraph::new(
+                graph.clone(),
+                RangePartition::new(1000, 3),
+            ));
             assert_eq!(bottom_up_bfs(&b, root, threads), want, "{threads} threads");
-            let probes: Vec<u32> = b.probes.iter().map(|p| p.load(Ordering::Relaxed)).collect();
+            let (probes, hints) = b.take();
+            assert_eq!(probes, hints, "every probe hinted once, {threads} threads");
             for v in 0..1000u32 {
                 if graph.degree(v) == 0 {
                     assert_eq!(probes[v as usize], 0, "edgeless vertex {v} probed");
@@ -556,6 +635,64 @@ mod tests {
             if let Some(v) = unreached {
                 assert!(probes[v as usize] > 0);
             }
+        }
+    }
+
+    #[test]
+    fn hints_name_exactly_the_vertices_probed_in_the_same_step() {
+        // Mostly edgeless, and all but every 7th vertex already visited;
+        // three domains put unit boundaries inside bitmap words.
+        let (graph, root) = mostly_edgeless();
+        let n = graph.num_vertices();
+        for threads in [1, 2, 4] {
+            let b = Probed::new(BackwardGraph::new(graph.clone(), RangePartition::new(n, 3)));
+            let parent = new_parent_array(n, root);
+            let (visited, front, next) = (
+                AtomicBitmap::new(n),
+                AtomicBitmap::new(n),
+                AtomicBitmap::new(n),
+            );
+            for v in (0..n as VertexId).filter(|v| v % 7 != 0) {
+                visited.set(v);
+            }
+            for &v in graph.neighbors(root) {
+                front.set(v);
+            }
+            let was_visited: Vec<bool> = (0..n as VertexId).map(|v| visited.get(v)).collect();
+            let out = par_bottom_up_step(
+                &b,
+                &front,
+                &next,
+                &parent,
+                &visited,
+                threads,
+                &NeighborCtx::dram,
+                None,
+            )
+            .unwrap();
+            assert!(out.discovered > 0, "{threads} threads");
+            let (probes, hints) = b.take();
+            assert_eq!(hints, probes, "{threads} threads");
+            for v in 0..n as VertexId {
+                let to_probe = !was_visited[v as usize] && graph.degree(v) > 0;
+                assert_eq!(hints[v as usize], u32::from(to_probe), "vertex {v}");
+            }
+        }
+    }
+
+    #[test]
+    fn prefetch_of_edgeless_tail_rows_is_harmless() {
+        // Vertices 991..=999 have no edge: their rows start at the end of
+        // the value array, and at k = 0 the head value array is empty.
+        let (graph, _) = mostly_edgeless();
+        let n = graph.num_vertices();
+        assert_eq!(graph.neighbor_range(999).0, graph.num_values());
+        let dram = BackwardGraph::new(graph.clone(), RangePartition::new(n, 3));
+        let dir = TempDir::new("bu-prefetch").unwrap();
+        let k0 = split_source(&graph, 0, 3, &dir);
+        for v in 0..n as VertexId {
+            dram.prefetch_probe(v);
+            k0.prefetch_probe(v);
         }
     }
 

@@ -27,7 +27,7 @@ use sembfs_numa::RangePartition;
 use sembfs_semext::ext_csr::ExtCsr;
 use sembfs_semext::{ReadAt, Result};
 
-use crate::graph::CsrGraph;
+use crate::graph::{zeroed_in_order, CsrGraph};
 use crate::neighbors::{DomainNeighbors, NeighborCtx};
 use crate::VertexId;
 
@@ -128,19 +128,21 @@ impl DomainNeighbors for BackwardGraph {
 /// the tail arrays are written to files by the caller.
 pub fn split_csr(csr: &CsrGraph, k_limit: u64) -> (CsrGraph, Vec<u64>, Vec<VertexId>) {
     let n = csr.num_vertices() as usize;
-    let mut head_index = Vec::with_capacity(n + 1);
-    let mut tail_index = Vec::with_capacity(n + 1);
-    head_index.push(0u64);
-    tail_index.push(0u64);
-    let mut head_values = Vec::new();
-    let mut tail_values = Vec::new();
+    let mut head_index: Vec<u64> = zeroed_in_order(n + 1);
+    let mut tail_index: Vec<u64> = zeroed_in_order(n + 1);
+    for v in 0..n {
+        let degree = csr.degree(v as VertexId);
+        let cut = k_limit.min(degree);
+        head_index[v + 1] = head_index[v] + cut;
+        tail_index[v + 1] = tail_index[v] + degree - cut;
+    }
+    let mut head_values = zeroed_in_order(head_index[n] as usize);
+    let mut tail_values = zeroed_in_order(tail_index[n] as usize);
     for v in 0..n {
         let ns = csr.neighbors(v as VertexId);
-        let cut = (k_limit as usize).min(ns.len());
-        head_values.extend_from_slice(&ns[..cut]);
-        tail_values.extend_from_slice(&ns[cut..]);
-        head_index.push(head_values.len() as u64);
-        tail_index.push(tail_values.len() as u64);
+        let (head, tail) = ns.split_at((head_index[v + 1] - head_index[v]) as usize);
+        head_values[head_index[v] as usize..head_index[v + 1] as usize].copy_from_slice(head);
+        tail_values[tail_index[v] as usize..tail_index[v + 1] as usize].copy_from_slice(tail);
     }
     (
         CsrGraph::new(head_index, head_values),
@@ -209,6 +211,13 @@ impl<R: ReadAt> SplitBackwardGraph<R> {
     #[inline]
     pub fn head_neighbors(&self, v: VertexId) -> &[VertexId] {
         self.head.neighbors(v)
+    }
+
+    /// Hint the cache to load the first line of `v`'s head row
+    /// ([`CsrGraph::prefetch_row`]).
+    #[inline(always)]
+    pub fn prefetch_head_row(&self, v: VertexId) {
+        self.head.prefetch_row(v)
     }
 
     /// Number of tail (offloaded) neighbors of `v`. Zero storage requests

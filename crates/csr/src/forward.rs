@@ -24,7 +24,7 @@ use sembfs_numa::RangePartition;
 use sembfs_semext::ext_csr::ExtCsr;
 use sembfs_semext::{ReadAt, Result};
 
-use crate::graph::CsrGraph;
+use crate::graph::{zeroed_in_order, CsrGraph};
 use crate::neighbors::{DomainNeighbors, NeighborCtx};
 use crate::VertexId;
 
@@ -102,16 +102,18 @@ impl DramForwardGraph {
             .into_par_iter()
             .map(|k| {
                 let range = partition.range(k);
-                let mut index = Vec::with_capacity(n + 1);
-                index.push(0u64);
-                let mut acc = 0u64;
+                let mut index: Vec<u64> = zeroed_in_order(n + 1);
                 for v in 0..n {
-                    acc += domain_row(csr, &range, v as VertexId).len() as u64;
-                    index.push(acc);
+                    let len = domain_row(csr, &range, v as VertexId).len() as u64;
+                    index[v + 1] = index[v] + len;
                 }
-                let mut values = Vec::with_capacity(acc as usize);
-                for v in 0..n {
-                    values.extend_from_slice(domain_row(csr, &range, v as VertexId));
+                let mut values = zeroed_in_order(index[n] as usize);
+                for (v, span) in index.windows(2).enumerate() {
+                    values[span[0] as usize..span[1] as usize].copy_from_slice(domain_row(
+                        csr,
+                        &range,
+                        v as VertexId,
+                    ));
                 }
                 CsrGraph::new(index, values)
             })

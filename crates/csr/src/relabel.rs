@@ -11,7 +11,7 @@
 
 use rayon::prelude::*;
 
-use crate::graph::{sorted_transpose, CsrGraph};
+use crate::graph::{sorted_transpose, zeroed_in_order, CsrGraph};
 use crate::VertexId;
 
 /// A vertex renaming: `new_id = perm[old_id]`, with its inverse.
@@ -88,12 +88,11 @@ impl Relabeling {
     /// Panics when `csr` is not symmetric.
     pub fn apply_to_csr(&self, csr: &CsrGraph) -> CsrGraph {
         assert_eq!(csr.num_vertices() as usize, self.len());
-        let mut index = Vec::with_capacity(self.len() + 1);
-        index.push(0u64);
+        let mut index: Vec<u64> = zeroed_in_order(self.len() + 1);
         let mut values = Vec::with_capacity(csr.num_values() as usize);
-        for &old in &self.inv {
+        for (new, &old) in self.inv.iter().enumerate() {
             values.extend(csr.neighbors(old).iter().map(|&w| self.perm[w as usize]));
-            index.push(values.len() as u64);
+            index[new + 1] = values.len() as u64;
         }
         // Renaming scrambles each row's order; the transpose restores it.
         let values = sorted_transpose(&index, &values);
